@@ -16,10 +16,11 @@ two runtimes against each other:
   :class:`~repro.observe.ExecutionGraph`; a pop with no matching edge
   means the two runtimes disagree about the message pairing — a race
   witness.
-* **Engine parity** — the simulator's batched event loop must produce
-  a bitwise-identical :class:`~repro.runtime.SimResult` (and the same
-  happens-before projection) as the reference generator loop on this
-  IR; any divergence is an ``engine-parity`` witness.
+* **Engine parity** — an untraced run of the simulator's batched
+  engine (the generated per-shape tasks that sweeps, tuning and the
+  plan service run) must produce a bitwise-identical
+  :class:`~repro.runtime.SimResult` to the reference generator loop on
+  this IR; any divergence is an ``engine-parity`` witness.
 * **Race scan** — conflicting buffer accesses unordered by the IR's
   dependence graph (:mod:`repro.conformance.races`), which names the
   exact racing instruction pair.
@@ -232,26 +233,20 @@ def run_conformance(algo, config: Optional[ConformanceConfig] = None, *,
         _check_pops(base, fifo_pairs, report, seed=None, full=full)
 
     # -- batched vs reference simulator engine parity ------------------
-    # The batched event loop's contract is bitwise identity with the
-    # reference loop; check it on this IR so every algorithm that goes
-    # through conformance also certifies the engine rewrite.
+    # The batched engine's contract is bitwise identity with the
+    # reference loop. Both runs are untraced (a traced run always
+    # executes on the reference engine), so every algorithm that goes
+    # through conformance certifies the generated tasks that ship.
     if cfg.check_engine_parity:
         topology = cfg.topology or generic(ir.num_ranks, 1)
         report.add_round("engine-parity")
-        runs = {}
-        for engine in ("batched", "reference"):
-            sim = IrSimulator(ir, topology, None,
-                              SimConfig(engine=engine,
-                                        collect_trace=True))
-            runs[engine] = sim.run(chunk_bytes=65536.0)
-        diffs = sim_parity_diffs(runs["batched"], runs["reference"],
-                                 labels=("batched", "reference"))
-        if not diffs and (
-                happens_before_pairs(runs["batched"].graph)
-                != happens_before_pairs(runs["reference"].graph)):
-            diffs = ["engines disagree on the happens-before "
-                     "projection of the execution graph"]
-        for diff in diffs:
+        runs = {
+            engine: IrSimulator(ir, topology, None,
+                                SimConfig(engine=engine)
+                                ).run(chunk_bytes=65536.0)
+            for engine in ("batched", "reference")
+        }
+        for diff in sim_parity_diffs(runs["batched"], runs["reference"]):
             if not full():
                 report.witnesses.append(Witness("engine-parity", diff))
 

@@ -1,48 +1,59 @@
-"""Source-level specialization for the batched engine's fast path.
+"""The batched engine's thread-block body, generated per shape.
 
-:func:`repro.runtime.simulator._tb_task_fast` is a generator
-*interpreter*: every instruction occurrence re-unpacks its precompiled
-record and re-tests the same structural flags (receives? sends? fused?
-how many dependences?) that were fixed when the program was compiled.
-At paper scale those loads and branches are a large share of the
-per-occurrence cost.
+Every thread block of a batched simulation runs as one slim generator,
+resumed with the current virtual time (``now = yield ...``) at each
+occurrence's *check point* (instruction overhead after the previous
+occurrence's boundary); every per-step constant comes precompiled from
+the block's :class:`~repro.runtime.simulator._TbProgram`. An unblocked
+occurrence costs exactly one resumption: its waits, resource
+reservations, and timing arithmetic all run inline at the check point.
 
-This module folds them out. A thread block program's *shape* — the
-per-record flag vector plus the dependence and wire-path arities — is
-extracted once, and a generator function is generated (plain Python
-source, ``compile`` + ``exec``) whose body is ``_tb_task_fast`` with:
+Inter-block state uses *lazy publication*: at its check point a
+producer eagerly writes the virtual time each fact becomes true — the
+message's first-byte arrival (``conn.arrival_first``), the slot's drain
+time (``conn.free_times``), the fence boundary (``sem.times``) — and
+each occurrence's wait chain is evaluated at the *previous*
+occurrence's check point, lifting the next resume time through the
+published times (pure reads of final, monotone values). The generator
+then resumes once, at exactly the virtual time the reference loop's
+last wait would have resolved, and runs its resource reservations
+there in heap order. Only a fact nobody has published yet blocks; the
+producer re-queues such already-blocked consumers straight at the
+fact's fire time with a ``(fire_t, signal)`` action (every signal has a
+single publishing thread block). State exclusive to the thread block —
+its copy engine's FCFS horizon, the in-order delivery clamp, the
+issued/consumed counters — lives in locals, with the counters the
+post-run balance check reads flushed on the final occurrence.
+
+A program's *shape* — the per-record flag vector plus the dependence
+and wire-path arities — is extracted once, and a generator function is
+generated for it (plain Python source, ``compile`` + ``exec``) with:
 
 * every structural branch resolved at generation time,
 * the per-record loop unrolled, records' tile-invariant constants
   (service durations, receive sequence, dependence targets, path
   resources) bound to locals in the preamble,
-* the ``remaining`` occurrence counter replaced by a static
-  last-record / last-tile test,
+* a static last-record / last-tile test for the final occurrence,
 * wire-path reservation hops unrolled.
 
 Shapes repeat heavily — symmetric collectives compile hundreds of
 thread blocks into a handful of shapes — so generated functions are
-cached process-wide, keyed by shape. The generated code performs the
-same float operations in the same order at the same virtual times as
-the interpreter, so results stay bitwise-identical; the parity suite
-pins this.
-
-``REPRO_SIM_INTERP=1`` disables generation (the simulator falls back
-to the interpreter) for triage and differential testing.
+cached process-wide, keyed by shape. Every block gets a generated
+task, however long; the source and its compile time grow linearly with
+the record count. The generated code performs the same float
+operations in the same order at the same virtual times as the
+reference engine
+(:meth:`~repro.runtime.simulator.IrSimulator._tb_process`), so timing
+results stay bitwise-identical; the parity suite pins this.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 # Generated functions keyed by program shape. Safe to share globally:
 # the source depends only on the shape, never on runtime objects.
 _CACHE: Dict[tuple, object] = {}
-
-# Programs with more records than this fall back to the interpreter —
-# the unrolled source (and its compile time) grows linearly with the
-# record count, and such blocks amortize interpretation fine anyway.
-MAX_RECS = 96
 
 
 def shape_key(prog) -> tuple:
@@ -54,9 +65,9 @@ def shape_key(prog) -> tuple:
          rec[3],               # local compute
          rec[4],               # fused send
          rec[5],               # direct receive
-         rec[11],              # has_dep (fence after release)
-         rec[14] is None,      # zero-byte cross-node send poison
-         0 if rec[14] is None else len(rec[14]))  # wire-path arity
+         rec[7],               # has_dep (fence after release)
+         rec[10] is None,      # zero-byte cross-node send poison
+         0 if rec[10] is None else len(rec[10]))  # wire-path arity
         for rec in prog.recs
     )
     return (prog.watched, prog.in_conn is not None,
@@ -64,13 +75,7 @@ def shape_key(prog) -> tuple:
 
 
 def task_factory(prog):
-    """A generator factory specialized to ``prog``'s shape.
-
-    Returns ``None`` when the program is too large to specialize
-    profitably; the caller falls back to the interpreter.
-    """
-    if len(prog.recs) > MAX_RECS:
-        return None
+    """A generator factory specialized to ``prog``'s shape."""
     key = shape_key(prog)
     fn = _CACHE.get(key)
     if fn is None:
@@ -136,18 +141,18 @@ def task_source(key: tuple) -> str:
         if ndeps:
             emit("    _d = _r[0]")
             for j in range(ndeps):
-                emit(f"    dT{i}_{j} = _d[{j}][1]")
-                emit(f"    dS{i}_{j} = _d[{j}][2]")
-                emit(f"    dL{i}_{j} = _d[{j}][3]")
-                emit(f"    dB{i}_{j} = _d[{j}][4]")
+                emit(f"    dT{i}_{j} = _d[{j}][0]")
+                emit(f"    dS{i}_{j} = _d[{j}][1]")
+                emit(f"    dL{i}_{j} = _d[{j}][2]")
+                emit(f"    dB{i}_{j} = _d[{j}][3]")
         if receives:
-            emit(f"    rs{i} = _r[7]")
+            emit(f"    rs{i} = _r[6]")
         if (receives and not direct_recv) or local:
-            emit(f"    cd{i} = _r[12]")
+            emit(f"    cd{i} = _r[8]")
         if sends and not fused and not poisoned:
-            emit(f"    pd{i} = _r[13]")
+            emit(f"    pd{i} = _r[9]")
         if sends and not poisoned and npath:
-            emit("    _p = _r[14]")
+            emit("    _p = _r[10]")
             for k in range(npath):
                 emit(f"    pR{i}_{k} = _p[{k}][0]")
                 emit(f"    pD{i}_{k} = _p[{k}][1]")
@@ -301,15 +306,14 @@ def task_source(key: tuple) -> str:
             emit(f"{ind}out_first[send_seq] = first_byte")
             emit(f"{ind}out_last[send_seq] = last_byte")
             emit(f"{ind}if out_arrival_signal._waiters:")
-            emit(f"{ind}    actions = "
-                 f"((5, first_byte, out_arrival_signal),)")
+            emit(f"{ind}    actions = ((first_byte, out_arrival_signal),)")
         else:
             emit(f"{ind}release = data_ready")
         if receives:
             emit(f"{ind}in_free[rt] = data_ready")
             emit(f"{ind}consumed += 1")
             emit(f"{ind}if in_slot_signal._waiters:")
-            emit(f"{ind}    wk = (5, data_ready, in_slot_signal)")
+            emit(f"{ind}    wk = (data_ready, in_slot_signal)")
             emit(f"{ind}    actions = "
                  f"(actions + (wk,) if actions else (wk,))")
         if has_dep:
@@ -319,7 +323,7 @@ def task_source(key: tuple) -> str:
         if watched:
             emit(f"{ind}sem_times.append(boundary)")
             emit(f"{ind}if sem_signal._waiters:")
-            emit(f"{ind}    wk = (5, boundary, sem_signal)")
+            emit(f"{ind}    wk = (boundary, sem_signal)")
             emit(f"{ind}    actions = "
                  f"(actions + (wk,) if actions else (wk,))")
         if i < n_recs - 1:

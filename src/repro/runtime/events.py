@@ -125,22 +125,6 @@ def make_timer(loop: EventLoop) -> Callable[[float], Tuple[str, float]]:
 
 
 # -- batched engine ---------------------------------------------------------
-#
-# Heap-entry kinds for BatchEventLoop. RESUME carries a thread-block
-# generator's bound ``send``; the other three are *action events*:
-# plain tuples standing in for the one-shot deliver/free helper
-# processes and semaphore-fence resumptions the reference engine
-# schedules per message / per instruction. Each action fires at a
-# precomputed virtual time, performs one state write, and wakes the
-# relevant signal's waiters — the same times and the same effects as
-# the reference loop, with one heap event instead of a generator
-# round-trip.
-RESUME = 0
-DELIVER = 1
-FREE = 2
-SEM = 3
-WAKE = 4
-DIRECT_WAKE = 5
 
 
 class BatchEventLoop:
@@ -149,46 +133,29 @@ class BatchEventLoop:
     Scheduling discipline matches :class:`EventLoop`: one priority
     queue ordered by ``(time, sequence)``, notified waiters re-queued
     at the notify time in list order. What changes is the cost per
-    simulated instruction occurrence:
-
-    * thread-block processes are primed generators driven by
-      ``send(now)`` — the current virtual time rides the resumption
-      instead of being re-read from the loop,
-    * FIFO deliver/free bookkeeping and semaphore publication become
-      pooled *action events* pushed directly at their precomputed fire
-      times, so an unblocked occurrence costs a single generator
-      resumption instead of three (overhead, release, fence) plus
-      helper-process churn.
+    simulated instruction occurrence: thread-block processes are primed
+    generators driven by ``send(now)`` — the current virtual time rides
+    the resumption instead of being re-read from the loop — and the
+    only heap entries are those resumptions.
 
     Processes yield one of:
 
     * ``t`` (float) — resume at ``max(now, t)``,
-    * ``signal`` — block until the signal is notified,
-    * ``(actions, t | signal | None)`` — push each ``(kind, fire_t,
-      payload)`` action event at ``max(now, fire_t)``, then resume at
-      float ``t``, block on the signal, or (``None``) stop scheduling
-      this process beyond the pushed actions.
+    * ``signal`` — block until a wake action names the signal,
+    * ``(actions, t | signal)`` — run each ``(fire_t, signal)`` wake
+      action, then resume at float ``t`` or block on the signal.
 
-    Action payloads: ``DELIVER (conn, seq, last_byte)`` records a FIFO
-    arrival and wakes ``conn.arrival_signal``; ``FREE (conn, seq)``
-    retires a slot and wakes ``conn.slot_signal``; ``SEM (sem, value,
-    signal)`` publishes thread-block progress and wakes dependents;
-    ``WAKE signal`` is a pure notification with no state write — used
-    by the lazy-publication fast path, where producers write visibility
-    times eagerly and only already-blocked consumers need an event.
-    ``DIRECT_WAKE (fire_t, signal)`` is processed inline while actions
-    are pushed and never becomes a heap event: the signal's blocked
-    waiters are re-queued directly at the fact's fire time. This is
-    valid because every fast-path signal has exactly one publishing
-    thread block, so nothing else can wake those waiters between the
-    publication and the fire time.
+    A wake action re-queues the signal's blocked waiters directly at
+    ``max(now, fire_t)``, the virtual time the fact they wait for
+    becomes true. This is valid because every signal has exactly one
+    publishing thread block, so nothing else can wake those waiters
+    between the publication and the fire time.
     """
 
-    __slots__ = ("now", "tracer", "_queue", "_sequence", "_blocked")
+    __slots__ = ("now", "_queue", "_sequence", "_blocked")
 
-    def __init__(self, tracer=None) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
-        self.tracer = tracer
         self._queue: List[tuple] = []
         self._sequence = 0
         self._blocked = 0
@@ -198,8 +165,7 @@ class BatchEventLoop:
         process.send(None)
         heapq.heappush(
             self._queue,
-            (self.now if at is None else at, self._sequence, RESUME,
-             process.send),
+            (self.now if at is None else at, self._sequence, process.send),
         )
         self._sequence += 1
 
@@ -213,79 +179,38 @@ class BatchEventLoop:
         queue = self._queue
         push = heapq.heappush
         pop = heapq.heappop
-        tracer = self.tracer
         seq = self._sequence
         blocked = self._blocked
         now = self.now
         while queue:
-            now, _s, kind, payload = pop(queue)
-            if kind == 0:  # RESUME: payload is the generator's send
-                try:
-                    req = payload(now)
-                except StopIteration:
-                    continue
-                cls = type(req)
-                if cls is float:
-                    push(queue, (req if req > now else now, seq, 0,
-                                 payload))
-                    seq += 1
-                elif cls is tuple:
-                    for akind, at, apayload in req[0]:
-                        if akind == 5:  # DIRECT_WAKE: re-queue waiters
-                            waiters = apayload._waiters
-                            apayload._waiters = []
-                            blocked -= len(waiters)
-                            t = at if at > now else now
-                            for waiter, _since in waiters:
-                                push(queue, (t, seq, 0, waiter))
-                                seq += 1
-                        else:
-                            push(queue, (at if at > now else now, seq,
-                                         akind, apayload))
-                            seq += 1
-                    t = req[1]
-                    if t is None:
-                        continue
-                    if type(t) is float:
-                        push(queue, (t if t > now else now, seq, 0,
-                                     payload))
-                        seq += 1
-                    else:  # Signal: push actions, then block
-                        t._waiters.append((payload, now))
-                        blocked += 1
-                else:  # Signal: block until notified
-                    req._waiters.append((payload, now))
-                    blocked += 1
+            now, _s, send = pop(queue)
+            try:
+                req = send(now)
+            except StopIteration:
                 continue
-            if kind == 4:  # WAKE: pure notification, payload is the signal
-                signal = payload
-            elif kind == 1:  # DELIVER: FIFO message arrival
-                conn = payload[0]
-                conn.arrivals[payload[1]] = payload[2]
-                signal = conn.arrival_signal
-            elif kind == 2:  # FREE: FIFO slot retired
-                conn = payload[0]
-                conn.consumed.add(payload[1])
-                conn.consumed_count += 1
-                signal = conn.slot_signal
-            else:  # SEM: publish thread-block progress
-                payload[0].value = payload[1]
-                signal = payload[2]
-            waiters = signal._waiters
-            if waiters:
-                signal._waiters = []
-                blocked -= len(waiters)
-                if tracer is not None:
-                    label = signal.label
-                    for waiter, since in waiters:
-                        tracer.add_counter(f"wait.{label}_us",
-                                           now - since, t_us=now)
-                        push(queue, (now, seq, 0, waiter))
-                        seq += 1
-                else:
+            cls = type(req)
+            if cls is float:
+                push(queue, (req if req > now else now, seq, send))
+                seq += 1
+            elif cls is tuple:
+                for at, signal in req[0]:
+                    waiters = signal._waiters
+                    signal._waiters = []
+                    blocked -= len(waiters)
+                    t = at if at > now else now
                     for waiter, _since in waiters:
-                        push(queue, (now, seq, 0, waiter))
+                        push(queue, (t, seq, waiter))
                         seq += 1
+                t = req[1]
+                if type(t) is float:
+                    push(queue, (t if t > now else now, seq, send))
+                    seq += 1
+                else:  # Signal: run the actions, then block
+                    t._waiters.append((send, now))
+                    blocked += 1
+            else:  # Signal: block until woken
+                req._waiters.append((send, now))
+                blocked += 1
         self._sequence = seq
         self._blocked = blocked
         self.now = now

@@ -9,41 +9,41 @@ bandwidth resources (see :mod:`repro.topology.model`), which makes link
 contention, per-thread-block injection limits, fusion benefits, and
 pipelining overlap all first-class effects.
 
-Two event-loop engines share this model:
+Two bodies implement this model:
 
 * **batched** (the default) precompiles every thread block's schedule
   into a :class:`_TbProgram` — per-step payload bytes vectorized with
   numpy, dependence targets resolved via
-  :func:`repro.core.verification.dependence_edges`, bandwidth
-  denominators folded into constants — and drives slim ``send(now)``
-  generators on :class:`~repro.runtime.events.BatchEventLoop`, whose
-  pooled action events replace the reference loop's per-message helper
-  processes.
+  :func:`repro.core.verification.dependence_edges`, service durations
+  folded into constants — and runs it as a generator that
+  :mod:`repro.runtime.codegen` specializes to the block's shape, driven
+  by ``send(now)`` on :class:`~repro.runtime.events.BatchEventLoop`.
 * **reference** is the original one-event-per-occurrence interpreter
   (:meth:`IrSimulator._tb_process` on
-  :class:`~repro.runtime.events.EventLoop`), retained as the parity
-  oracle and selectable with ``SimConfig(engine="reference")`` or the
-  ``REPRO_SIM_REFERENCE=1`` environment escape hatch.
+  :class:`~repro.runtime.events.EventLoop`). It is the parity oracle,
+  selected with ``SimConfig(engine="reference")``, and it runs every
+  traced simulation: a ``tracer``, ``collect_trace=True`` and
+  :meth:`IrSimulator.execution_graph` all execute here, because only
+  this body records spans and the execution graph. A traced run costs
+  tens of times an untraced batched one; sweeps, tuning and serving
+  never trace.
 
-Both engines produce **bitwise-identical** results — same
-:class:`SimResult` fields, span streams, and
-:class:`~repro.observe.ExecutionGraph` — because they issue the same
-float arithmetic at the same virtual times: every wait check, resource
-reservation, and state write fires at exactly the virtual time the
-reference loop would schedule it. The batched engine gets its
+Both bodies produce **bitwise-identical** timing — same
+:class:`SimResult` fields and resource busy times — because they issue
+the same float arithmetic at the same virtual times: every wait check,
+resource reservation, and state write fires at exactly the virtual time
+the reference loop would schedule it. The batched body gets its
 throughput from collapsing the reference loop's three generator
 resumptions per occurrence (overhead, release, semaphore fence) into
-one, with FIFO delivery and semaphore publication pushed as pooled
-action events at their precomputed fire times.
-:func:`sim_parity_diffs` checks the equivalence field by field, and
-the differential conformance harness enforces it on every zoo
-algorithm.
+one, publishing FIFO and semaphore facts eagerly at their precomputed
+times. :func:`sim_parity_diffs` checks the equivalence field by field,
+and the differential conformance harness enforces it on every zoo
+algorithm. No environment variable selects an engine.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -58,8 +58,7 @@ from ..observe.graph import (Edge, ExecNode, ExecutionGraph, Segment,
 from ..observe.tracer import Span, Tracer
 from ..topology.model import Resource, Topology
 from . import codegen
-from .events import (DELIVER, FREE, SEM, DIRECT_WAKE, BatchEventLoop,
-                     EventLoop, Signal)
+from .events import BatchEventLoop, EventLoop, Signal
 from .protocols import Protocol, get_protocol
 
 FUSED_SEND_OPS = frozenset({
@@ -80,7 +79,6 @@ REDUCE_OPS = frozenset({
 LOCAL_OPS = frozenset({Op.COPY, Op.REDUCE})
 
 SIM_ENGINES = ("batched", "reference")
-_REFERENCE_ENV = "REPRO_SIM_REFERENCE"
 
 
 @dataclass
@@ -97,7 +95,12 @@ class SimConfig:
     FIFO-stall/semaphore-wait counters sampled from the event loop, and
     per-link busy-time counters. ``collect_trace`` is the lightweight
     switch: it provisions a private tracer so the profiling helpers in
-    :mod:`repro.runtime.profile` work without any exporter setup.
+    :mod:`repro.runtime.profile` work without any exporter setup. A
+    traced run always executes on the reference engine, whatever
+    ``engine`` says: the batched body records nothing.
+
+    ``engine`` picks the body of an untraced run: ``"batched"`` (the
+    generated per-shape tasks) or ``"reference"`` (the parity oracle).
     """
 
     max_tiles: int = 16
@@ -117,10 +120,7 @@ class SimConfig:
     # that matches no resource the run consults raises SimulationError
     # afterwards rather than silently simulating fault-free.
     degradations: Dict[str, float] = field(default_factory=dict)
-    # Event-loop engine: "batched" or "reference". None resolves from
-    # the REPRO_SIM_REFERENCE environment variable (parity triage
-    # escape hatch), defaulting to "batched".
-    engine: Optional[str] = None
+    engine: str = "batched"
 
 
 @dataclass
@@ -225,13 +225,13 @@ class _Connection:
         self.consumed_count = 0
         self.sends_per_tile = sends_per_tile
         self.arrivals: Dict[int, float] = {}  # seq -> last-byte time
-        # Lazy-publication maps (batched fast path only), dense lists
+        # Lazy-publication maps (batched engine only), dense lists
         # indexed by message sequence number and sized per run: the
         # sender writes each message's first/last-byte times at its
         # check point, the receiver writes each slot's drain time —
         # consumers then *sleep until* the published time instead of
         # being woken by an event, which is what lets an unblocked
-        # occurrence run with no action events at all.
+        # occurrence run with no wake actions at all.
         self.arrival_first: List[Optional[float]] = []
         self.arrival_last: List[Optional[float]] = []
         self.free_times: List[Optional[float]] = []
@@ -275,14 +275,14 @@ class _Connection:
 class _Semaphore:
     """Per-thread-block monotone progress counter (paper Figure 5).
 
-    ``times`` is the fast path's lazy-publication view of the counter:
+    ``times`` is the batched engine's lazy-publication view of the counter:
     entry ``k`` is the virtual time the value reaches ``k + 1`` (the
     occurrence's fence boundary), appended by the owning thread block
     at its check point. Dependents compare ``len(times)`` against their
     wait target and sleep until the published boundary — the value
     becomes visible at exactly the time the reference loop's fence
-    resumption would write it. The recording path (and the reference
-    engine) use ``value`` written at the boundary instead.
+    resumption would write it. The reference engine uses ``value``
+    written at the boundary instead.
     """
 
     __slots__ = ("value", "times", "signal")
@@ -303,34 +303,29 @@ class _TbProgram:
 
     Everything invariant across tiles is resolved once at compile time —
     per-step payload bytes (numpy-vectorized), dependence semaphores and
-    wait targets, FIFO endpoints, per-resource bandwidth denominators,
-    the per-message wire overhead — so the per-occurrence work left in
-    the generators is pure float arithmetic plus queue operations.
+    wait targets, FIFO endpoints, per-resource service durations — so
+    the per-occurrence work left in the generated task is pure float
+    arithmetic plus queue operations.
 
     ``recs`` holds one tuple per instruction::
 
-        (deps, receives, sends, local, fused, direct_recv, nbytes,
-         recv_seq, wire_overhead, consume_denom, step1, has_dep,
-         consume_dur, produce_dur, path_durs)
+        (deps, receives, sends, local, fused, direct_recv, recv_seq,
+         has_dep, consume_dur, produce_dur, path_durs)
 
-    where ``deps`` is ``((sem, sem.times, signal, dep_len,
-    dep_step + 1, dep_tb), ...)``, ``consume_denom`` is the copy
-    engine's effective bandwidth
-    for the consume/compute pass, and ``wire_overhead`` is the
-    per-tile share of the InfiniBand per-message cost (``None`` marks
-    the zero-byte cross-node send the reference engine rejects with a
-    ZeroDivisionError; ``path_durs`` is then ``None`` too). The last
-    three fields are the tile-invariant service durations with the
-    divisions folded in at compile time — the fast path's whole
-    per-occurrence arithmetic is adds and comparisons. ``meta``
-    carries the per-instruction ``(op_value, lineage)`` pairs only the
-    traced path needs.
+    where ``deps`` is ``((sem.times, signal, dep_len, dep_step + 1),
+    ...)``. The last three fields are the tile-invariant service
+    durations with the divisions folded in at compile time, so the
+    task's whole per-occurrence arithmetic is adds and comparisons:
+    the copy engine's consume/compute pass, its produce pass for an
+    unfused send, and ``((resource, duration), ...)`` over the send's
+    wire path. ``path_durs`` is ``None`` for the zero-byte cross-node
+    send the reference engine rejects with a ZeroDivisionError.
+    ``task`` is the generator factory :mod:`repro.runtime.codegen`
+    built for the program's shape.
     """
 
-    __slots__ = ("rank", "tb_id", "channel", "engine", "engine_bw",
-                 "sem", "sem_signal", "n", "watched", "out_conn",
-                 "in_conn", "path_pairs", "alpha", "cross", "label",
-                 "recs", "meta", "task")
+    __slots__ = ("sem", "sem_signal", "watched", "out_conn", "in_conn",
+                 "alpha", "cross", "recs", "task")
 
 
 class IrSimulator:
@@ -385,7 +380,9 @@ class IrSimulator:
 
         spans = [] if tracer is not None else None
         graph = ExecutionGraph() if tracer is not None else None
-        if engine_name == "reference":
+        # Only the reference body records spans and the execution
+        # graph, so every traced run executes there.
+        if engine_name == "reference" or tracer is not None:
             loop = EventLoop(tracer=tracer)
             for gpu in self.ir.gpus:
                 for tb in gpu.threadblocks:
@@ -395,7 +392,7 @@ class IrSimulator:
                         tracer, spans, graph,
                     ))
         else:
-            loop = BatchEventLoop(tracer=tracer)
+            loop = BatchEventLoop()
             key = (chunk_bytes, tiles)
             programs = self._program_cache.get(key)
             if programs is None:
@@ -406,30 +403,19 @@ class IrSimulator:
                 self._program_cache[key] = programs
             oh = self.config.instruction_overhead
             sem_oh = self.config.semaphore_overhead
+            # Fresh dense publication maps, sized for this run's tile
+            # count; spawning (which primes the generators, binding
+            # these lists) must come after.
+            for conn in connections.values():
+                total = conn.sends_per_tile * tiles
+                conn.arrival_first = [None] * total
+                conn.arrival_last = [None] * total
+                conn.free_times = [None] * total
             # First check point is ``instruction_overhead`` after
             # launch — where the reference loop's first overhead delay
-            # resumes. Empty thread blocks never touch shared state in
-            # either engine, so they are not spawned at all.
-            if tracer is None:
-                # Fresh dense publication maps, sized for this run's
-                # tile count; spawning (which primes the generators,
-                # binding these lists) must come after.
-                for conn in connections.values():
-                    total = conn.sends_per_tile * tiles
-                    conn.arrival_first = [None] * total
-                    conn.arrival_last = [None] * total
-                    conn.free_times = [None] * total
-                for prog in programs:
-                    if prog.recs:
-                        loop.spawn(prog.task(prog, tiles, oh, sem_oh),
-                                   at=oh)
-            else:
-                for prog in programs:
-                    if prog.recs:
-                        loop.spawn(_tb_task_recording(
-                            prog, tiles, oh, sem_oh, tracer, spans,
-                            graph,
-                        ), at=oh)
+            # resumes.
+            for prog in programs:
+                loop.spawn(prog.task(prog, tiles, oh, sem_oh), at=oh)
 
         elapsed = loop.run()
         for conn in connections.values():
@@ -496,10 +482,6 @@ class IrSimulator:
     # -- internals --------------------------------------------------------
     def _resolve_engine(self) -> str:
         engine = self.config.engine
-        if engine is None:
-            reference = os.environ.get(_REFERENCE_ENV, "")
-            engine = "reference" if reference not in ("", "0") \
-                else "batched"
         if engine not in SIM_ENGINES:
             raise SimulationError(
                 f"unknown simulator engine {engine!r}; pick one of "
@@ -641,7 +623,7 @@ class IrSimulator:
         IRs too malformed for the edge builder (which raises on
         unbalanced connections the simulator reports in its own way),
         fall back to scanning the ``depends`` lists directly. The
-        batched fast path skips semaphore bookkeeping for every thread
+        batched engine skips semaphore bookkeeping for every thread
         block outside this set.
         """
         try:
@@ -661,31 +643,32 @@ class IrSimulator:
     def _compile_programs(self, chunk_bytes: float, tiles: int,
                           connections, semaphores, engines,
                           tb_lengths) -> List[_TbProgram]:
-        """Precompile one :class:`_TbProgram` per thread block."""
+        """Precompile one :class:`_TbProgram` per non-empty thread block.
+
+        Empty thread blocks never touch shared state in either engine,
+        so they get no program and are never spawned.
+        """
         machine = self.topology.machine
         proto = self.protocol
         wire_eff = proto.bandwidth_efficiency
         per_message = machine.ib_message_overhead
         reduce_eff = (machine.reduce_bandwidth
                       / machine.threadblock_bandwidth)
+        direct = self._direct
         watched = self._watched_tbs()
-        use_codegen = os.environ.get("REPRO_SIM_INTERP", "") in ("", "0")
         programs: List[_TbProgram] = []
         for gpu in self.ir.gpus:
             for tb in gpu.threadblocks:
+                instrs = tb.instructions
+                if not instrs:
+                    continue
                 rank = gpu.rank
                 key = (rank, tb.tb_id)
-                engine = engines[key]
+                engine_bw = engines[key].bandwidth
                 sem = semaphores[key]
                 prog = _TbProgram()
-                prog.rank = rank
-                prog.tb_id = tb.tb_id
-                prog.channel = tb.channel
-                prog.engine = engine
-                prog.engine_bw = engine.bandwidth
                 prog.sem = sem
                 prog.sem_signal = sem.signal
-                prog.n = len(tb.instructions)
                 prog.watched = key in watched
                 prog.out_conn = (
                     connections[(rank, tb.send_peer, tb.channel)]
@@ -695,38 +678,28 @@ class IrSimulator:
                     connections[(tb.recv_peer, rank, tb.channel)]
                     if tb.recv_peer is not None else None
                 )
-                prog.path_pairs = ()
+                path_pairs = ()
                 prog.alpha = 0.0
                 prog.cross = False
-                prog.label = None
                 if tb.send_peer is not None:
                     path, alpha_base, cross = self.topology.path(
                         rank, tb.send_peer)
                     prog.alpha = alpha_base + proto.alpha_overhead
                     prog.cross = cross
-                    prog.path_pairs = tuple(
+                    path_pairs = tuple(
                         (res,
                          res.bandwidth
                          * (wire_eff * self._degradation(res.name)))
                         for res in path
                     )
-                    prog.label = f"r{rank}->r{tb.send_peer} ch{tb.channel}"
-                instrs = tb.instructions
-                if instrs:
-                    fracs = np.array(
-                        [float(i.frac_hi - i.frac_lo) for i in instrs])
-                    counts = np.array([_span_count(i) for i in instrs],
-                                      dtype=np.float64)
-                    nbytes_list = (
-                        chunk_bytes * fracs * counts / tiles).tolist()
-                else:
-                    nbytes_list = []
-                direct = self._direct
+                fracs = np.array(
+                    [float(i.frac_hi - i.frac_lo) for i in instrs])
+                counts = np.array([_span_count(i) for i in instrs],
+                                  dtype=np.float64)
+                nbytes_list = (chunk_bytes * fracs * counts / tiles).tolist()
                 recs = []
-                meta = []
-                for step, instr in enumerate(instrs):
+                for instr, nbytes in zip(instrs, nbytes_list):
                     op = instr.op
-                    nbytes = nbytes_list[step]
                     receives = op in RECV_OPS
                     sends = op in SEND_OPS
                     reduces = op in REDUCE_OPS
@@ -746,25 +719,23 @@ class IrSimulator:
                             if basis else None
                         )
                     deps = tuple(
-                        (semaphores[(rank, dep_tb)],
-                         semaphores[(rank, dep_tb)].times,
+                        (semaphores[(rank, dep_tb)].times,
                          semaphores[(rank, dep_tb)].signal,
                          tb_lengths[(rank, dep_tb)],
-                         dep_step + 1,
-                         dep_tb)
+                         dep_step + 1)
                         for dep_tb, dep_step in instr.depends
                     )
-                    consume_denom = (engine.bandwidth * reduce_eff
-                                     if reduces else engine.bandwidth)
+                    consume_denom = (engine_bw * reduce_eff
+                                     if reduces else engine_bw)
                     # Per-occurrence durations are tile-invariant;
                     # folding the divisions into the program keeps them
-                    # out of the fast generators (the floats are
+                    # out of the generated tasks (the floats are
                     # bitwise-identical — same dividend, same divisor).
                     path_durs = None
                     if sends and wire_overhead is not None:
                         path_durs = tuple(
                             (res, nbytes / denom + wire_overhead)
-                            for res, denom in prog.path_pairs
+                            for res, denom in path_pairs
                         )
                     recs.append((
                         deps,
@@ -773,27 +744,14 @@ class IrSimulator:
                         op in LOCAL_OPS,
                         op in FUSED_SEND_OPS,
                         direct and not reduces,
-                        nbytes,
                         instr.recv_seq,
-                        wire_overhead,
-                        consume_denom,
-                        step + 1,
                         instr.has_dep,
                         nbytes / consume_denom,
-                        nbytes / engine.bandwidth,
+                        nbytes / engine_bw,
                         path_durs,
                     ))
-                    meta.append((op.value, frozenset(instr.lineage or ())))
                 prog.recs = recs
-                prog.meta = meta
-                # Shape-specialized generator (repro.runtime.codegen);
-                # the interpreter below stays as the fallback and the
-                # REPRO_SIM_INTERP=1 triage path.
-                prog.task = _tb_task_fast
-                if recs and use_codegen:
-                    generated = codegen.task_factory(prog)
-                    if generated is not None:
-                        prog.task = generated
+                prog.task = codegen.task_factory(prog)
                 programs.append(prog)
         return programs
 
@@ -1112,486 +1070,6 @@ def _span_count(instr) -> int:
     return 0 if instr.op is Op.NOP else instr.count
 
 
-def _tb_task_fast(prog: _TbProgram, tiles: int, oh: float,
-                  sem_oh: float):
-    """The batched engine's hot path: one slim generator per thread block.
-
-    Resumed with the current virtual time (``now = yield ...``) at each
-    occurrence's *check point* (instruction overhead after the previous
-    occurrence's boundary); every per-step constant comes precompiled
-    from the :class:`_TbProgram`. An unblocked occurrence costs exactly
-    one resumption: its waits, resource reservations, and timing
-    arithmetic all run inline at the check point.
-
-    Inter-block state uses *lazy publication*: at its check point a
-    producer eagerly writes the virtual time each fact becomes true —
-    the message's first-byte arrival (``conn.arrival_first``), the
-    slot's drain time (``conn.free_times``), the fence boundary
-    (``sem.times``) — and each occurrence's wait chain is evaluated at
-    the *previous* occurrence's check point, lifting the next resume
-    time through the published times (pure reads of final, monotone
-    values). The generator then resumes once, at exactly the virtual
-    time the reference loop's last wait would have resolved, and runs
-    its resource reservations there in heap order. Only a fact nobody
-    has published yet blocks; a
-    :data:`~repro.runtime.events.DIRECT_WAKE` action re-queues such
-    already-blocked consumers straight at the fact's fire time (every
-    fast-path signal has a single publishing thread block). State exclusive to this thread block — its copy
-    engine's FCFS horizon, the in-order delivery clamp, the
-    issued/consumed counters — lives in locals, with the counters the
-    post-run balance check reads flushed on the final occurrence.
-    """
-    recs = prog.recs
-    sem_times = prog.sem.times
-    sem_signal = prog.sem_signal
-    watched = prog.watched
-    out_conn = prog.out_conn
-    in_conn = prog.in_conn
-    alpha = prog.alpha
-    cross = prog.cross
-    engine_nf = 0.0  # exclusive copy engine: local FCFS horizon
-    consumed = 0
-    issued = 0
-    prev_first = 0.0
-    prev_last = 0.0
-    if in_conn is not None:
-        in_last = in_conn.arrival_last
-        in_first = in_conn.arrival_first
-        in_len = len(in_first)
-        in_free = in_conn.free_times
-        in_spt = in_conn.sends_per_tile
-        arrival_signal = in_conn.arrival_signal
-        in_slot_signal = in_conn.slot_signal
-    if out_conn is not None:
-        slots = out_conn.slots
-        out_last = out_conn.arrival_last
-        out_first = out_conn.arrival_first
-        out_free = out_conn.free_times
-        out_arrival_signal = out_conn.arrival_signal
-        slot_signal = out_conn.slot_signal
-    WAKEK = DIRECT_WAKE
-    remaining = tiles * len(recs)
-    pending = None
-
-    now = yield  # primed; first resumption arrives at the check point
-    wake = now
-    for tile in range(tiles):
-        if in_conn is not None:
-            recv_base = tile * in_spt
-        for rec in recs:
-            (deps, receives, sends, local, fused, direct_recv, _nbytes,
-             recv_seq, _wire_overhead, _consume_denom, _step1, has_dep,
-             consume_dur, produce_dur, path_durs) = rec
-
-            # -- wait chain: evaluated here, at the previous
-            # occurrence's check point. `wake` starts at this
-            # occurrence's own check point and is lifted through each
-            # published time (final, monotone values — safe to read
-            # early). An unpublished fact first advances virtual time
-            # to the best-known lower bound and re-checks there — the
-            # reference loop's own check discipline — and blocks only
-            # if the producer still has not reached its check point
-            # (it will see this waiter there and push a WAKE at the
-            # fact's fire time).
-            for _sem, dep_times, dep_signal, dep_len, base, _tb in deps:
-                target = tile * dep_len + base
-                while len(dep_times) < target:
-                    if pending is not None:
-                        now = yield (pending,
-                                     wake if wake > now else dep_signal)
-                        pending = None
-                    elif wake > now:
-                        now = yield wake
-                    else:
-                        now = yield dep_signal
-                    if now > wake:
-                        wake = now
-                t = dep_times[target - 1]
-                if t > wake:
-                    wake = t
-            if receives:
-                rt = recv_base + recv_seq
-                while True:
-                    first = in_first[rt] if rt < in_len else None
-                    if first is not None:
-                        if first > wake:
-                            wake = first
-                        break
-                    if pending is not None:
-                        now = yield (pending,
-                                     wake if wake > now
-                                     else arrival_signal)
-                        pending = None
-                    elif wake > now:
-                        now = yield wake
-                    else:
-                        now = yield arrival_signal
-                    if now > wake:
-                        wake = now
-                msg_last = in_last[rt]
-            if sends:
-                send_seq = issued
-                if send_seq >= slots:
-                    freed = send_seq - slots
-                    while True:
-                        ft = out_free[freed]
-                        if ft is not None:
-                            if ft > wake:
-                                wake = ft
-                            break
-                        if pending is not None:
-                            now = yield (pending,
-                                         wake if wake > now
-                                         else slot_signal)
-                            pending = None
-                        elif wake > now:
-                            now = yield wake
-                        else:
-                            now = yield slot_signal
-                        if now > wake:
-                            wake = now
-                issued = send_seq + 1
-
-            if pending is not None:
-                now = yield (pending, wake)
-                pending = None
-            elif wake > now:
-                now = yield wake
-            # now == wake: the reference loop's last wait for this
-            # occurrence resolved at exactly this virtual time; the
-            # reservations below run here, in heap order.
-            start = now
-            data_ready = start
-            if receives:
-                if direct_recv:
-                    data_ready = start if start >= msg_last else msg_last
-                else:
-                    rstart = start if start >= engine_nf else engine_nf
-                    finish = rstart + consume_dur
-                    engine_nf = finish
-                    data_ready = finish if finish >= msg_last else msg_last
-            elif local:
-                rstart = start if start >= engine_nf else engine_nf
-                data_ready = rstart + consume_dur
-                engine_nf = data_ready
-
-            actions = None
-            if sends:
-                if path_durs is None:
-                    raise ZeroDivisionError("float division by zero")
-                if fused:
-                    produce_finish = data_ready
-                else:
-                    rstart = start if start >= engine_nf else engine_nf
-                    produce_finish = rstart + produce_dur
-                    engine_nf = produce_finish
-                wire_finish = 0.0
-                for res, dur in path_durs:
-                    nf = res.next_free
-                    rstart = start if start >= nf else nf
-                    finish = rstart + dur
-                    res.next_free = finish
-                    res.busy_time += dur
-                    if finish > wire_finish:
-                        wire_finish = finish
-                first_byte = start + alpha
-                peak = (wire_finish if wire_finish >= produce_finish
-                        else produce_finish)
-                last_byte = peak + alpha
-                # In-order delivery clamp (reference clamp_fifo).
-                if first_byte < prev_first:
-                    first_byte = prev_first
-                if last_byte < prev_last:
-                    last_byte = prev_last
-                if last_byte < first_byte:
-                    last_byte = first_byte
-                prev_first = first_byte
-                prev_last = last_byte
-                if cross:
-                    release = (produce_finish
-                               if produce_finish >= data_ready
-                               else data_ready)
-                else:
-                    drained = last_byte - alpha
-                    release = (drained if drained >= data_ready
-                               else data_ready)
-                out_first[send_seq] = first_byte
-                out_last[send_seq] = last_byte
-                if out_arrival_signal._waiters:
-                    actions = ((WAKEK, first_byte, out_arrival_signal),)
-            else:
-                release = data_ready
-            if receives:
-                in_free[rt] = data_ready
-                consumed += 1
-                if in_slot_signal._waiters:
-                    wk = (WAKEK, data_ready, in_slot_signal)
-                    actions = (actions + (wk,) if actions else (wk,))
-
-            boundary = release + sem_oh if has_dep else release
-            if watched:
-                sem_times.append(boundary)
-                if sem_signal._waiters:
-                    wk = (WAKEK, boundary, sem_signal)
-                    actions = (actions + (wk,) if actions else (wk,))
-            remaining -= 1
-            if remaining:
-                pending = actions
-                wake = boundary + oh
-            else:
-                # Final occurrence: flush the exclusive counters the
-                # post-run balance check reads, then one last
-                # resumption at the boundary (the reference loop's
-                # last event for this block) and StopIteration.
-                if in_conn is not None:
-                    in_conn.consumed_count = consumed
-                if out_conn is not None:
-                    out_conn.issued = issued
-                if actions is not None:
-                    yield (actions, boundary)
-                else:
-                    yield boundary
-                return
-
-
-def _tb_task_recording(prog: _TbProgram, tiles: int, oh: float,
-                       sem_oh: float, tracer, spans, graph):
-    """The batched engine's traced path.
-
-    Identical scheduling to :func:`_tb_task_fast` plus the exact
-    recording of :meth:`IrSimulator._tb_process`: one span and one
-    :class:`ExecNode` per occurrence, the same segments, edges, and
-    FIFO message-detail dicts. Interval boundaries the reference loop
-    observes on its release/fence resumptions (which the batched
-    engine never takes) are recorded from the computed values instead
-    — the floats are identical by construction.
-    """
-    recs = prog.recs
-    metas = prog.meta
-    rank = prog.rank
-    tb_id = prog.tb_id
-    channel = prog.channel
-    engine = prog.engine
-    engine_bw = prog.engine_bw
-    sem = prog.sem
-    sem_signal = prog.sem_signal
-    n = prog.n
-    watched = prog.watched
-    out_conn = prog.out_conn
-    in_conn = prog.in_conn
-    path_pairs = prog.path_pairs
-    alpha = prog.alpha
-    cross = prog.cross
-    label = prog.label
-    edges = graph.edges
-    track = (f"rank {rank}", f"tb {tb_id}")
-    remaining = tiles * len(recs)
-    boundary = 0.0
-
-    now = yield  # primed; first resumption arrives at the check point
-    for tile in range(tiles):
-        for step, rec in enumerate(recs):
-            (deps, receives, sends, local, fused, direct_recv, nbytes,
-             recv_seq, wire_overhead, consume_denom, step1, has_dep,
-             _consume_dur, _produce_dur, _path_durs) = rec
-            key = (rank, tb_id, tile, step)
-            segs = []
-            instr_start = boundary
-            if now > instr_start:
-                segs.append(Segment("overhead", instr_start, now))
-
-            for dep_sem, _dep_times, dep_signal, dep_len, base, \
-                    dep_tb in deps:
-                target = tile * dep_len + base
-                wait_from = now
-                while dep_sem.value < target:
-                    now = yield dep_signal
-                edges.append(Edge("sem", (rank, dep_tb, tile, base - 1),
-                                  key, now))
-                if now > wait_from:
-                    flat = dep_sem.value - 1
-                    cause = (rank, dep_tb, flat // dep_len,
-                             flat % dep_len)
-                    segs.append(Segment("sem_wait", wait_from, now,
-                                        cause=cause))
-
-            msg_last = None
-            msg = None
-            rt = None
-            if receives:
-                rt = tile * in_conn.sends_per_tile + recv_seq
-                wait_from = now
-                while rt not in in_conn.arrivals:
-                    now = yield in_conn.arrival_signal
-                msg_last = in_conn.arrivals[rt]
-                msg = in_conn.messages.get(rt)
-                producer = msg["producer"] if msg else None
-                edges.append(Edge("fifo", producer, key, now))
-                if now > wait_from:
-                    segs.append(Segment("fifo_stall", wait_from, now,
-                                        cause=producer, detail=msg))
-            if sends:
-                send_seq = out_conn.issued
-                slots = out_conn.slots
-                wait_from = now
-                while (send_seq >= slots
-                       and (send_seq - slots) not in out_conn.consumed):
-                    now = yield out_conn.slot_signal
-                if now > wait_from:
-                    freed = out_conn.freed_by.get(send_seq - slots)
-                    segs.append(Segment("slot_wait", wait_from, now,
-                                        cause=freed))
-                    edges.append(Edge("slot", freed, key, now))
-                out_conn.issued = send_seq + 1
-
-            start = now
-            data_ready = start
-            actions = None
-            if receives:
-                if direct_recv:
-                    data_ready = start if start >= msg_last else msg_last
-                    if data_ready > start:
-                        _transfer_segments(segs, start, data_ready, msg)
-                else:
-                    nf = engine.next_free
-                    rstart = start if start >= nf else nf
-                    dur = nbytes / consume_denom
-                    finish = rstart + dur
-                    engine.next_free = finish
-                    engine.busy_time += dur
-                    data_ready = finish if finish >= msg_last else msg_last
-                    if finish > start:
-                        segs.append(Segment("compute", start, finish))
-                    if data_ready > finish:
-                        _transfer_segments(segs, finish, data_ready, msg)
-                in_conn.freed_by[rt] = key
-                actions = [(FREE, data_ready, (in_conn, rt))]
-            elif local:
-                nf = engine.next_free
-                rstart = start if start >= nf else nf
-                dur = nbytes / consume_denom
-                data_ready = rstart + dur
-                engine.next_free = data_ready
-                engine.busy_time += dur
-                if data_ready > start:
-                    segs.append(Segment("compute", start, data_ready))
-
-            if sends:
-                if wire_overhead is None:
-                    raise ZeroDivisionError("float division by zero")
-                if fused:
-                    produce_finish = data_ready
-                else:
-                    nf = engine.next_free
-                    rstart = start if start >= nf else nf
-                    dur = nbytes / engine_bw
-                    produce_finish = rstart + dur
-                    engine.next_free = produce_finish
-                    engine.busy_time += dur
-                wire_finish = 0.0
-                queue_us = 0.0
-                service_us = 0.0
-                bottleneck = None
-                for res, denom in path_pairs:
-                    nf = res.next_free
-                    rstart = start if start >= nf else nf
-                    dur = nbytes / denom + wire_overhead
-                    finish = rstart + dur
-                    res.next_free = finish
-                    res.busy_time += dur
-                    if finish > wire_finish:
-                        wire_finish = finish
-                        queue_us = rstart - start
-                        service_us = dur
-                        bottleneck = res.name
-                first_byte = start + alpha
-                peak = (wire_finish if wire_finish >= produce_finish
-                        else produce_finish)
-                last_byte = peak + alpha
-                prev = out_conn.prev_first
-                if first_byte < prev:
-                    first_byte = prev
-                prev = out_conn.prev_last
-                if last_byte < prev:
-                    last_byte = prev
-                if last_byte < first_byte:
-                    last_byte = first_byte
-                out_conn.prev_first = first_byte
-                out_conn.prev_last = last_byte
-                out_msg = {
-                    "producer": key,
-                    "seq": send_seq,
-                    "stream_start": start,
-                    "first_byte": first_byte,
-                    "last_byte": last_byte,
-                    "produce_finish": produce_finish,
-                    "queue_us": queue_us,
-                    "wire_us": service_us,
-                    "alpha": alpha,
-                    "resource": bottleneck,
-                    "label": label,
-                }
-                out_conn.messages[send_seq] = out_msg
-                if cross:
-                    release = (produce_finish
-                               if produce_finish >= data_ready
-                               else data_ready)
-                else:
-                    drained = last_byte - alpha
-                    release = (drained if drained >= data_ready
-                               else data_ready)
-                if not fused and produce_finish > start:
-                    segs.append(Segment("compute", start, produce_finish))
-                base_t = (produce_finish if produce_finish >= data_ready
-                          else data_ready)
-                if release > base_t:
-                    _transfer_segments(segs, base_t, release, out_msg)
-                deliver = (DELIVER, first_byte,
-                           (out_conn, send_seq, last_byte))
-                if actions is None:
-                    actions = (deliver,)
-                else:
-                    actions.append(deliver)
-                    actions = tuple(actions)
-            else:
-                release = data_ready
-                if actions is not None:
-                    actions = tuple(actions)
-
-            boundary = release + sem_oh if has_dep else release
-            if boundary > release:
-                segs.append(Segment("overhead", release, boundary))
-            if watched:
-                sem_act = (SEM, boundary,
-                           (sem, tile * n + step1, sem_signal))
-                actions = (actions + (sem_act,) if actions
-                           else (sem_act,))
-
-            op_value, lineage = metas[step]
-            span = tracer.emit(
-                op_value, instr_start, boundary, cat="instr",
-                track=track, track_ids=(rank, tb_id),
-                rank=rank, tb=tb_id, channel=channel,
-                step=step, tile=tile, nbytes=nbytes,
-            )
-            spans.append(span)
-            graph.add_node(ExecNode(key, op_value, channel, nbytes,
-                                    instr_start, boundary, segs,
-                                    lineage))
-            remaining -= 1
-            if remaining:
-                if actions is not None:
-                    now = yield (actions, boundary + oh)
-                else:
-                    now = yield boundary + oh
-            else:
-                if actions is not None:
-                    yield (actions, boundary)
-                else:
-                    yield boundary
-                return
-
-
 def happens_before_pairs(graph: ExecutionGraph
                          ) -> Dict[str, set]:
     """Collapse a traced run's edges to per-kind instruction pairs.
@@ -1659,10 +1137,8 @@ def sim_parity_diffs(a: SimResult, b: SimResult,
         if len(a.spans) != len(b.spans):
             note(f"spans: {la} has {len(a.spans)}, "
                  f"{lb} has {len(b.spans)}")
-        # Canonical order: the engines emit the same spans with the
-        # same values but may interleave thread blocks differently
-        # (the batched engine emits at the check point, the reference
-        # at the occurrence boundary).
+        # Canonical order: equal runs may still interleave thread
+        # blocks differently in the span stream.
         fa = sorted(_span_fingerprint(s) for s in a.spans)
         fb = sorted(_span_fingerprint(s) for s in b.spans)
         for i, (sa, sb) in enumerate(zip(fa, fb)):

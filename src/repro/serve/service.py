@@ -186,16 +186,16 @@ class PlanRequest:
             raise ServeError(
                 f"unknown topology {topology!r}; choose from "
                 f"generic, {', '.join(sorted(TOPOLOGIES))}")
-        try:
-            size = int(doc.get("size", doc.get("size_bytes")))
-        except (TypeError, ValueError):
-            raise ServeError("request needs an integer 'size' in bytes")
+        size = _int_field(doc.get("size", doc.get("size_bytes")),
+                          "request needs an integer 'size' in bytes")
         if size < 0:
             raise ServeError(f"size must be >= 0, got {size}")
-        nodes = int(doc.get("nodes", 1))
+        nodes = _int_field(doc.get("nodes", 1),
+                           "'nodes' must be an integer")
         if nodes < 1:
             raise ServeError(f"nodes must be >= 1, got {nodes}")
-        gpus = int(doc.get("gpus_per_node", 8))
+        gpus = _int_field(doc.get("gpus_per_node", 8),
+                          "'gpus_per_node' must be an integer")
         if gpus < 2:
             raise ServeError(f"gpus_per_node must be >= 2, got {gpus}")
         protocol = doc.get("protocol")
@@ -615,6 +615,14 @@ class PlanService:
             return None
         bump("errors")
         return _error_bytes(f"unknown op {op!r}")
+
+
+def _int_field(value, message: str) -> int:
+    """``int(value)``, or a :class:`ServeError` the client sees."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ServeError(message) from None
 
 
 def _error_bytes(message: str) -> bytes:

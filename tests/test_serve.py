@@ -303,6 +303,35 @@ class TestWireProtocol:
         assert stats["ok"] is True
         assert stats["stats"]["serve"]["errors"] == 3
 
+    def test_non_integer_fields_answer_with_errors(self):
+        bad_fields = [
+            ("nodes", "abc"), ("nodes", None), ("nodes", []),
+            ("gpus_per_node", "abc"), ("gpus_per_node", None),
+            ("gpus_per_node", []), ("gpus_per_node", float("nan")),
+            ("size", float("inf")),
+        ]
+
+        async def body(service, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            answers = []
+            for name, value in bad_fields:
+                doc = {"op": "plan", "collective": "allreduce",
+                       "size": 1024, name: value}
+                writer.write(json.dumps(doc).encode() + b"\n")
+                await writer.drain()
+                answers.append(json.loads(await reader.readline()))
+            writer.write(b'{"op":"ping"}\n')
+            await writer.drain()
+            pong = json.loads(await reader.readline())
+            writer.close()
+            return answers, pong
+
+        answers, pong = self.run_with_server(body)
+        for (name, _value), answer in zip(bad_fields, answers):
+            assert answer["ok"] is False
+            assert name in answer["error"]
+        assert pong == {"ok": True, "pong": True}
+
     def test_client_raises_on_service_error(self):
         async def body(service, host, port):
             async with PlanClient(host, port) as client:
