@@ -23,10 +23,15 @@ Two tiers:
   second ``repro-tools sweep`` invocation — or a pool of evaluation
   workers — reuses the first one's compiles.
 
-Hits are served by deserializing the stored IR JSON, so every caller
-gets a private :class:`~repro.core.ir.MscclIr` it may freely mutate —
-a cache hit is byte-identical (XML serialization) to a cold compile
-but can never alias another caller's IR.
+Both tiers hold an IR in its frozen form (:func:`~repro.core.ir.
+freeze_ir`): a store freezes the caller's IR once, and the disk tier
+writes the frozen rows as compact JSON values. A hit expands the
+frozen rows into a fresh :class:`~repro.core.ir.MscclIr` without
+parsing anything, so every caller gets a private IR it may freely
+mutate — a cache hit is byte-identical (XML serialization) to a cold
+compile but can never alias another caller's IR or the cached entry. A
+disk hit parses its file once and decodes it straight into the frozen
+form, which is promoted into memory.
 
 Hit/miss counters are kept per cache and surfaced two ways: bumped on
 the compile's tracer (``compile_cache.hits`` / ``compile_cache.misses``
@@ -50,7 +55,9 @@ from typing import Dict, NamedTuple, Optional
 from .collectives import (AllGather, AllReduce, AllToAll, AllToNext,
                           Broadcast, Collective, Gather, Reduce,
                           ReduceScatter, Scatter)
-from .ir import MscclIr
+from .errors import ProgramError
+from .ir import (FrozenIr, MscclIr, decode_frozen_ir, encode_frozen_ir,
+                 expand_ir, freeze_ir)
 from .program import MSCCLProgram
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -60,12 +67,17 @@ DEFAULT_DISK_BYTES = 256 * 1024 * 1024
 # before eviction treats it as an orphan from a crashed/killed writer
 # and removes it. Until then its bytes count toward the LRU budget.
 DEFAULT_PART_GRACE_SECONDS = 60.0
+# The disk entry layout: bump it whenever the document or
+# ``encode_frozen_ir``'s rows change, so older entries become misses.
+# Entries from before the field existed (IR JSON nested as a string)
+# carry none and miss too.
+ENTRY_FORMAT_VERSION = 2
 
 
 class CacheEntry(NamedTuple):
-    """One cached compile: the IR (serialized) and its collective."""
+    """One cached compile: the frozen IR and its collective."""
 
-    ir_json: str
+    frozen_ir: FrozenIr
     collective: Collective
 
 
@@ -196,12 +208,15 @@ def default_cache_dir() -> Path:
 class DiskCacheTier:
     """Persistent content-addressed entries shared across processes.
 
-    Every entry is one JSON file named by the SHA-256 of its cache key.
+    Every entry is one JSON file named by the SHA-256 of its cache key:
+    ``{"version", "key", "collective", "ir"}``, where ``ir`` holds the
+    frozen IR's compact rows (:func:`~repro.core.ir.encode_frozen_ir`).
     Writes go to a temp file in the same directory and land via
     ``os.replace``, so a reader (or a concurrent writer) never sees a
     torn entry — the worst outcome of a write race is that the last
-    writer wins with a byte-identical payload. Corrupt or truncated
-    files are treated as misses and deleted best-effort.
+    writer wins with a byte-identical payload. Corrupt, truncated,
+    malformed or other-version files are treated as misses and deleted
+    best-effort.
 
     The tier is LRU-bounded by total bytes: lookups bump the entry's
     mtime, and stores evict oldest-mtime files until the directory fits
@@ -251,15 +266,16 @@ class DiskCacheTier:
             return None
         try:
             doc = json.loads(text)
+            if doc["version"] != ENTRY_FORMAT_VERSION:
+                raise ValueError("entry from another format version")
             if doc["key"] != key:
                 raise ValueError("cache key collision or stale entry")
-            entry = CacheEntry(doc["ir_json"],
+            # Decoding validates every row, so a damaged IR payload is
+            # a miss here, not a crash in the caller's materialize().
+            entry = CacheEntry(decode_frozen_ir(doc["ir"]),
                                collective_from_doc(doc["collective"]))
-            # A file can be valid JSON yet hold a damaged IR payload;
-            # parse it now so a bad entry is a miss here, not a crash
-            # in the caller's materialize().
-            MscclIr.from_json(entry.ir_json)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, ProgramError,
+                RecursionError):
             self._bump("misses")
             try:
                 path.unlink()
@@ -283,9 +299,10 @@ class DiskCacheTier:
         if doc_collective is None:
             return False
         payload = json.dumps({
+            "version": ENTRY_FORMAT_VERSION,
             "key": key,
             "collective": doc_collective,
-            "ir_json": entry.ir_json,
+            "ir": encode_frozen_ir(entry.frozen_ir),
         }, separators=(",", ":"))
         path = self.path_for(key)
         fd, tmp = tempfile.mkstemp(dir=str(self.directory),
@@ -407,7 +424,9 @@ class CompileCache:
     are guarded by a lock (the plan service's executor threads and the
     tuner both hammer one instance), and ``last_hit_tier`` is
     thread-local, so each thread reads the tier of *its own* last
-    lookup, never a concurrent one's.
+    lookup, never a concurrent one's. A disk lookup reads and decodes
+    its file outside the lock, so memory hits in other threads never
+    queue behind it.
     """
 
     def __init__(self, maxsize: int = 256,
@@ -439,22 +458,24 @@ class CompileCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                self.last_hit_tier = "memory"
-                return entry
-            if self.disk is not None:
-                entry = self.disk.lookup(key)
-                if entry is not None:
-                    self._put(key, entry)
-                    self.hits += 1
-                    self.last_hit_tier = "disk"
-                    return entry
-            self.misses += 1
-            self.last_hit_tier = None
-            return None
+        if entry is not None:
+            self.last_hit_tier = "memory"
+            return entry
+        if self.disk is not None:
+            entry = self.disk.lookup(key)
+        with self._lock:
+            if entry is not None:
+                self._put(key, entry)
+                self.hits += 1
+            else:
+                self.misses += 1
+        self.last_hit_tier = None if entry is None else "disk"
+        return entry
 
     def store(self, key: str, ir: MscclIr,
               collective: Collective) -> None:
-        entry = CacheEntry(ir.to_json(), collective)
+        """Cache ``ir``; later edits to ``ir`` never reach a hit."""
+        entry = CacheEntry(freeze_ir(ir), collective)
         with self._lock:
             self._put(key, entry)
         if self.disk is not None:
@@ -468,7 +489,7 @@ class CompileCache:
 
     def materialize(self, entry: CacheEntry) -> MscclIr:
         """A fresh, privately-owned IR for a hit."""
-        return MscclIr.from_json(entry.ir_json)
+        return expand_ir(entry.frozen_ir)
 
     def __len__(self) -> int:
         with self._lock:

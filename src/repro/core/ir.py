@@ -9,6 +9,13 @@ that must complete first.
 
 The IR serializes to JSON (lossless) and to an msccl-tools-style XML
 for eyeballing against the reference implementation's format.
+
+The compile cache keeps IRs in a third, internal form: a *frozen* IR
+(:func:`freeze_ir`), an immutable nested-tuple snapshot with one row
+per instruction. :func:`expand_ir` rebuilds a private ``MscclIr`` from
+it without parsing anything, and :func:`encode_frozen_ir` /
+:func:`decode_frozen_ir` map it to and from compact JSON values for the
+cache's disk tier.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from xml.etree import ElementTree
 
 from .buffers import Buffer
@@ -318,3 +325,245 @@ class MscclIr:
                     ElementTree.SubElement(tb_el, "step", attrs)
         ElementTree.indent(root)
         return ElementTree.tostring(root, encoding="unicode")
+
+
+# -- frozen form ---------------------------------------------------------
+#
+#   frozen = (name, collective, protocol, num_ranks, in_place, gpus)
+#   gpu    = (rank, input_chunks, output_chunks, scratch_chunks, tbs)
+#   tb     = (tb_id, send_peer, recv_peer, channel, rows)
+#   row    = (step, op, src, dst, count, frac_lo, frac_hi, depends,
+#             has_dep, recv_seq, lineage)
+#
+# Every level is a tuple and every leaf immutable (span and depends
+# tuples, Fractions, Op/Buffer members, lineage tuples), so one frozen IR
+# can back any number of expansions, which share the leaves and own
+# their containers.
+FrozenIr = Tuple[Any, ...]
+
+_OPS = {op.value: op for op in Op}
+_BUFFERS = {buffer.value: buffer for buffer in Buffer}
+# Enum ``.value`` is a descriptor call; encoding maps members instead.
+_OP_VALUES = {op: value for value, op in _OPS.items()}
+_BUFFER_VALUES = {buffer: value for value, buffer in _BUFFERS.items()}
+
+
+def _freeze_span(span) -> Optional[LocalSpan]:
+    return None if span is None else tuple(span)
+
+
+def _freeze_lineage(lineage):
+    # Every producer (scheduling, the XML importer, from_dict) builds
+    # tuples of origin tuples: share them rather than copy them.
+    if lineage is None or type(lineage) is tuple:
+        return lineage
+    return tuple(map(tuple, lineage))
+
+
+def freeze_ir(ir: MscclIr) -> FrozenIr:
+    """An immutable snapshot of ``ir``, unaffected by later edits."""
+    return (ir.name, ir.collective, ir.protocol, ir.num_ranks,
+            ir.in_place, tuple([
+                (gpu.rank, gpu.input_chunks, gpu.output_chunks,
+                 gpu.scratch_chunks, tuple([
+                     (tb.tb_id, tb.send_peer, tb.recv_peer, tb.channel,
+                      tuple([
+                          (i.step, i.op, _freeze_span(i.src),
+                           _freeze_span(i.dst), i.count, i.frac_lo,
+                           i.frac_hi, tuple(map(tuple, i.depends)),
+                           i.has_dep, i.recv_seq,
+                           _freeze_lineage(i.lineage))
+                          for i in tb.instructions]))
+                     for tb in gpu.threadblocks]))
+                for gpu in ir.gpus]))
+
+
+def expand_ir(frozen: FrozenIr) -> MscclIr:
+    """A fresh, privately owned ``MscclIr`` equal to ``frozen``."""
+    name, collective, protocol, num_ranks, in_place, gpus = frozen
+    return MscclIr(name, collective, protocol, num_ranks, in_place, [
+        GpuProgram(rank, input_chunks, output_chunks, scratch_chunks, [
+            ThreadBlock(tb_id, send_peer, recv_peer, channel, [
+                IrInstruction(step, op, src, dst, count, lo, hi,
+                              list(depends), has_dep, seq, lineage)
+                for (step, op, src, dst, count, lo, hi, depends,
+                     has_dep, seq, lineage) in rows
+            ])
+            for tb_id, send_peer, recv_peer, channel, rows in tbs
+        ])
+        for rank, input_chunks, output_chunks, scratch_chunks, tbs in gpus
+    ])
+
+
+def encode_frozen_ir(frozen: FrozenIr) -> list:
+    """Compact JSON-safe values for ``frozen``.
+
+    ``[name, collective, protocol, num_ranks, in_place, gpus, lineages,
+    origins]``, with the gpu and thread-block levels as lists in the
+    frozen layout and each instruction one flat 13-value row::
+
+        [step, op, src, dst, count, lo_num, lo_den, hi_num, hi_den,
+         depends, has_dep, recv_seq, lineage]
+
+    ``op`` and span buffers are their string values, ``src``/``dst``
+    are ``[buffer, offset, count]`` or null, and ``depends`` is a list
+    of ``[tb_id, step]`` pairs. Lineages repeat heavily, so ``lineage``
+    is null or an index into ``lineages``, the entry's distinct
+    lineages, each a list of indices into ``origins``, its distinct
+    ``[rank, buffer, index]`` origins.
+    """
+    lineages: Dict[tuple, int] = {}
+    origins: Dict[tuple, int] = {}
+
+    def span(s):
+        return None if s is None else [_BUFFER_VALUES[s[0]], s[1], s[2]]
+
+    def lineage_index(lineage):
+        if lineage is None:
+            return None
+        index = lineages.get(lineage)
+        if index is None:
+            index = lineages[lineage] = len(lineages)
+        return index
+
+    def origin_index(origin):
+        index = origins.get(origin)
+        if index is None:
+            index = origins[origin] = len(origins)
+        return index
+
+    name, collective, protocol, num_ranks, in_place, gpus = frozen
+    gpu_docs = [
+        [rank, input_chunks, output_chunks, scratch_chunks, [
+            [tb_id, send_peer, recv_peer, channel, [
+                [step, _OP_VALUES[op], span(src), span(dst), count,
+                 lo.numerator, lo.denominator, hi.numerator,
+                 hi.denominator, depends, has_dep, seq,
+                 lineage_index(lineage)]
+                for (step, op, src, dst, count, lo, hi, depends,
+                     has_dep, seq, lineage) in rows
+            ]]
+            for tb_id, send_peer, recv_peer, channel, rows in tbs
+        ]]
+        for rank, input_chunks, output_chunks, scratch_chunks, tbs in gpus
+    ]
+    lineage_docs = [[origin_index(origin) for origin in lineage]
+                    for lineage in lineages]
+    return [name, collective, protocol, num_ranks, in_place, gpu_docs,
+            lineage_docs, list(origins)]
+
+
+def decode_frozen_ir(doc) -> FrozenIr:
+    """Inverse of :func:`encode_frozen_ir` over parsed JSON values.
+
+    Validates every value as it goes and raises ``ValueError`` on the
+    first malformed one (wrong arity, a non-list row, an unknown op or
+    buffer, a non-integer count, a zero denominator, ...). Equal
+    fractions decode to one shared ``Fraction``, each lineage to one
+    tuple shared by every row naming it, and each origin to one tuple
+    shared by every lineage holding it.
+    """
+    try:
+        return _decode(doc)
+    except (TypeError, KeyError, IndexError) as error:
+        raise ValueError(f"malformed frozen IR: {error!r}") from None
+
+
+def _fields(doc, arity: int) -> list:
+    if type(doc) is not list or len(doc) != arity:
+        raise ValueError(f"expected a list of {arity} values")
+    return doc
+
+
+def _list(doc) -> list:
+    if type(doc) is not list:
+        raise ValueError(f"expected a list, got {type(doc).__name__}")
+    return doc
+
+
+def _require_ints(*values) -> None:
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _optional_ints(*values) -> None:
+    for value in values:
+        if value is not None and type(value) is not int:
+            raise ValueError(f"expected an integer or null, got {value!r}")
+
+
+def _decode_span(doc) -> LocalSpan:
+    buffer, offset, count = _fields(doc, 3)
+    _require_ints(offset, count)
+    return (_BUFFERS[buffer], offset, count)
+
+
+def _decode(doc) -> FrozenIr:
+    (name, collective, protocol, num_ranks, in_place, gpu_docs,
+     lineage_docs, origin_docs) = _fields(doc, 8)
+    if not (type(name) is str and type(collective) is str
+            and type(protocol) is str and type(in_place) is bool):
+        raise ValueError("malformed IR header")
+    _require_ints(num_ranks)
+    origins = []
+    for origin in _list(origin_docs):
+        rank, buffer, index = _fields(origin, 3)
+        _require_ints(rank, index)
+        # The member's own value: one string object for every origin.
+        origins.append((rank, _BUFFERS[buffer].value, index))
+    # Indexing validates: a non-integer index raises TypeError and an
+    # out-of-range one IndexError.
+    lineages = [tuple(map(origins.__getitem__, _list(lin)))
+                for lin in _list(lineage_docs)]
+    fractions: Dict[Tuple[int, int], Fraction] = {}
+
+    def fraction(num, den) -> Fraction:
+        value = fractions.get((num, den))
+        if value is None:
+            _require_ints(num, den)
+            if den <= 0:
+                raise ValueError(f"fraction denominator {den} <= 0")
+            value = fractions[(num, den)] = Fraction(num, den)
+        return value
+
+    gpus = []
+    for gpu_doc in _list(gpu_docs):
+        (rank, input_chunks, output_chunks, scratch_chunks,
+         tb_docs) = _fields(gpu_doc, 5)
+        _require_ints(rank, input_chunks, output_chunks, scratch_chunks)
+        tbs = []
+        for tb_doc in _list(tb_docs):
+            tb_id, send_peer, recv_peer, channel, row_docs = _fields(
+                tb_doc, 5)
+            _require_ints(tb_id, channel)
+            _optional_ints(send_peer, recv_peer)
+            rows = []
+            for row in _list(row_docs):
+                (step, op, src, dst, count, lo_num, lo_den, hi_num,
+                 hi_den, depends, has_dep, seq, lineage) = _fields(row, 13)
+                if (type(step) is not int or type(count) is not int
+                        or type(has_dep) is not bool
+                        or type(depends) is not list
+                        or (seq is not None and type(seq) is not int)):
+                    raise ValueError(f"malformed instruction row {row}")
+                deps = tuple(map(tuple, depends))
+                for dep in deps:
+                    if (len(dep) != 2 or type(dep[0]) is not int
+                            or type(dep[1]) is not int):
+                        raise ValueError(f"malformed depends entry {dep}")
+                if lineage is not None:
+                    if type(lineage) is not int or lineage < 0:
+                        raise ValueError(f"bad lineage index {lineage!r}")
+                    lineage = lineages[lineage]
+                rows.append((
+                    step, _OPS[op],
+                    None if src is None else _decode_span(src),
+                    None if dst is None else _decode_span(dst),
+                    count, fraction(lo_num, lo_den),
+                    fraction(hi_num, hi_den), deps, has_dep, seq, lineage,
+                ))
+            tbs.append((tb_id, send_peer, recv_peer, channel, tuple(rows)))
+        gpus.append((rank, input_chunks, output_chunks, scratch_chunks,
+                     tuple(tbs)))
+    return (name, collective, protocol, num_ranks, in_place, tuple(gpus))

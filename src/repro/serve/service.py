@@ -618,7 +618,14 @@ class PlanService:
 
 
 def _int_field(value, message: str) -> int:
-    """``int(value)``, or a :class:`ServeError` the client sees."""
+    """``int(value)``, or a :class:`ServeError` the client sees.
+
+    ``true`` and non-integral numbers such as ``1.5`` are errors, not
+    silently 1: ``int()`` alone would accept and truncate them.
+    """
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ServeError(message)
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):

@@ -1,5 +1,7 @@
 """Tests for the pass pipeline, per-pass validation, and the cache."""
 
+import json
+
 import pytest
 
 from repro.algorithms import allpairs_allreduce, ring_allreduce
@@ -14,6 +16,7 @@ from repro.core import (
     default_pipeline,
     program_digest,
 )
+from repro.core.ir import MscclIr
 from repro.analysis.sweep import compile_for
 from repro.runtime.executor import IrExecutor
 from repro.topology import ndv4
@@ -190,6 +193,36 @@ class TestCompileCache:
         assert second.ir.gpus[0].threadblocks[0].instructions
         assert (compile_program(ring(), options).ir
                 .gpus[0].threadblocks[0].instructions)
+
+    def test_cold_ir_edits_after_store_never_reach_hits(self):
+        cache = CompileCache()
+        options = CompilerOptions(cache=cache)
+        cold = compile_program(ring(), options)
+        xml = cold.ir.to_xml()
+        tb = cold.ir.gpus[0].threadblocks[0]
+        tb.instructions[0].depends.append((99, 99))
+        tb.instructions[0].count = 77
+        tb.instructions.pop()
+        cold.ir.gpus.pop()
+        cold.ir.name = "edited"
+        hit = compile_program(ring(), options)
+        assert hit.cache_hit
+        assert hit.ir.to_xml() == xml
+
+    def test_memory_hit_parses_no_json(self, monkeypatch):
+        cache = CompileCache()
+        options = CompilerOptions(cache=cache)
+        cold = compile_program(ring(), options)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a memory hit parsed JSON")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        monkeypatch.setattr(MscclIr, "from_json", staticmethod(refuse))
+        hit = compile_program(ring(), options)
+        monkeypatch.undo()
+        assert hit.cache_hit
+        assert hit.ir.to_xml() == cold.ir.to_xml()
 
     def test_option_changes_miss(self):
         cache = CompileCache()

@@ -309,6 +309,9 @@ class TestWireProtocol:
             ("gpus_per_node", "abc"), ("gpus_per_node", None),
             ("gpus_per_node", []), ("gpus_per_node", float("nan")),
             ("size", float("inf")),
+            ("size", True), ("size", 1.5),
+            ("nodes", True), ("nodes", 1.5),
+            ("gpus_per_node", True), ("gpus_per_node", 2.5),
         ]
 
         async def body(service, host, port):
