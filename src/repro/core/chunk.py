@@ -16,9 +16,8 @@ hardware.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,23 @@ class ReductionChunk:
     @staticmethod
     def of(*chunks: "Chunk") -> "ReductionChunk":
         """Build the reduction of the given chunks (inputs or reductions)."""
-        counter: Counter = Counter()
+        # Merge multiplicities by integer (rank, index): sorting those
+        # keys gives the canonical order without a key function.
+        merged: Dict[Tuple[int, int], list] = {}
         for chunk in chunks:
             if isinstance(chunk, InputChunk):
-                counter[chunk] += 1
+                pairs: Tuple[_Contribution, ...] = ((chunk, 1),)
             elif isinstance(chunk, ReductionChunk):
-                for contrib, mult in chunk.contributions:
-                    counter[contrib] += mult
+                pairs = chunk.contributions
             else:
                 raise TypeError(f"cannot reduce {chunk!r}")
-        ordered = tuple(
-            sorted(counter.items(), key=lambda kv: (kv[0].rank, kv[0].index))
+            for contrib, mult in pairs:
+                entry = merged.setdefault((contrib.rank, contrib.index),
+                                          [contrib, 0])
+                entry[1] += mult
+        return ReductionChunk(
+            tuple(tuple(merged[key]) for key in sorted(merged))
         )
-        return ReductionChunk(ordered)
 
     @property
     def inputs(self) -> FrozenSet[InputChunk]:

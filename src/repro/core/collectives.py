@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .buffers import Buffer
-from .chunk import Chunk, InputChunk, ReductionChunk
+from .chunk import Chunk, InputChunk, ReductionChunk, allreduce_result
 from .errors import ProgramError
 
 Coordinate = Tuple[Buffer, int]
@@ -54,6 +54,7 @@ class Collective:
         self.chunk_factor = chunk_factor
         self.in_place = in_place
         self.reduce_op = reduce_op
+        self._reductions: Dict[int, ReductionChunk] = {}
 
     # -- sizes ---------------------------------------------------------
     def input_chunks(self, rank: int) -> int:
@@ -88,6 +89,16 @@ class Collective:
         collectives, like AllToNext's first rank, with partial outputs).
         """
         raise NotImplementedError
+
+    def _full_reduction(self, index: int) -> ReductionChunk:
+        """The reduction of input chunk ``index`` over every rank.
+
+        Reducing postconditions want the same value on many ranks, so it
+        is built once per index and shared (chunk values are immutable).
+        """
+        if index not in self._reductions:
+            self._reductions[index] = allreduce_result(self.num_ranks, index)
+        return self._reductions[index]
 
     # -- in-place aliasing ---------------------------------------------
     def input_offset(self, rank: int) -> int:
@@ -124,10 +135,7 @@ class AllReduce(Collective):
 
     def postcondition(self, rank: int) -> Dict[int, Chunk]:
         return {
-            i: ReductionChunk.of(
-                *(InputChunk(r, i) for r in range(self.num_ranks))
-            )
-            for i in range(self.chunk_factor)
+            i: self._full_reduction(i) for i in range(self.chunk_factor)
         }
 
 
@@ -184,9 +192,7 @@ class ReduceScatter(Collective):
         expected: Dict[int, Chunk] = {}
         for i in range(self.chunk_factor):
             source_index = rank * self.chunk_factor + i
-            expected[base + i] = ReductionChunk.of(
-                *(InputChunk(r, source_index) for r in range(self.num_ranks))
-            )
+            expected[base + i] = self._full_reduction(source_index)
         return expected
 
 
@@ -301,10 +307,7 @@ class Reduce(Collective):
         if rank != self.root:
             return {}
         return {
-            i: ReductionChunk.of(
-                *(InputChunk(r, i) for r in range(self.num_ranks))
-            )
-            for i in range(self.chunk_factor)
+            i: self._full_reduction(i) for i in range(self.chunk_factor)
         }
 
 

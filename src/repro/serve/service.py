@@ -64,6 +64,11 @@ STREAM_LIMIT = 32 * MiB
 
 PROTOCOLS = ("Simple", "LL", "LL128")
 
+# Request ceilings, so one ask cannot start an unbounded compile: the
+# paper's largest scale (256 A100 GPUs) and a 1 TiB buffer.
+MAX_RANKS = 256
+MAX_SIZE_BYTES = 2 ** 40
+
 # Sizes the background tuner scores each candidate on; spans between
 # grid points are tiled contiguously, mirroring build_registry.
 DEFAULT_TUNE_SIZES = (64 * KiB, 1 * MiB, 16 * MiB)
@@ -150,6 +155,9 @@ TOPOLOGIES: Dict[str, Callable[..., Topology]] = {
     "dgx2": presets.dgx2,
     "dgx1": presets.dgx1,
 }
+# GPUs per node of each preset (a generic request names its own).
+_PRESET_GPUS = {name: build(1).num_ranks
+                for name, build in TOPOLOGIES.items()}
 
 
 @dataclass(frozen=True)
@@ -188,8 +196,9 @@ class PlanRequest:
                 f"generic, {', '.join(sorted(TOPOLOGIES))}")
         size = _int_field(doc.get("size", doc.get("size_bytes")),
                           "request needs an integer 'size' in bytes")
-        if size < 0:
-            raise ServeError(f"size must be >= 0, got {size}")
+        if not 0 <= size <= MAX_SIZE_BYTES:
+            raise ServeError(
+                f"size must be in [0, {MAX_SIZE_BYTES}] bytes, got {size}")
         nodes = _int_field(doc.get("nodes", 1),
                            "'nodes' must be an integer")
         if nodes < 1:
@@ -198,6 +207,12 @@ class PlanRequest:
                           "'gpus_per_node' must be an integer")
         if gpus < 2:
             raise ServeError(f"gpus_per_node must be >= 2, got {gpus}")
+        ranks = nodes * (gpus if topology == "generic"
+                         else _PRESET_GPUS[topology])
+        if ranks > MAX_RANKS:
+            raise ServeError(
+                f"nodes * gpus_per_node must be <= {MAX_RANKS} ranks, "
+                f"got {ranks}")
         protocol = doc.get("protocol")
         if protocol is not None and protocol not in PROTOCOLS:
             raise ServeError(

@@ -10,9 +10,12 @@ from repro.core.collectives import (
     AllToAll,
     AllToNext,
     Custom,
+    Reduce,
     ReduceScatter,
 )
-from repro.core.errors import ProgramError
+from repro.core.errors import ProgramError, VerificationError
+from repro.core.program import MSCCLProgram, chunk
+from repro.core.verification import check_postcondition
 
 
 class TestAllReduce:
@@ -131,3 +134,84 @@ class TestValidation:
 
     def test_repr_mentions_ranks(self):
         assert "ranks=4" in repr(AllReduce(4))
+
+
+def _fresh_reduction(num_ranks, index):
+    return ReductionChunk.of(
+        *(InputChunk(r, index) for r in range(num_ranks))
+    )
+
+
+def _expected(coll, rank):
+    """The reducing postconditions, written out independently."""
+    n, cf = coll.num_ranks, coll.chunk_factor
+    if isinstance(coll, ReduceScatter):
+        base = rank * cf if coll.in_place else 0
+        return {base + i: _fresh_reduction(n, rank * cf + i)
+                for i in range(cf)}
+    if isinstance(coll, Reduce) and rank != coll.root:
+        return {}
+    return {i: _fresh_reduction(n, i) for i in range(cf)}
+
+
+REDUCING = {
+    "allreduce": lambda n: AllReduce(n, chunk_factor=3),
+    "allreduce_in_place": lambda n: AllReduce(n, chunk_factor=2,
+                                              in_place=True),
+    "reducescatter": lambda n: ReduceScatter(n, chunk_factor=2),
+    "reducescatter_in_place": lambda n: ReduceScatter(
+        n, chunk_factor=2, in_place=True),
+    "reduce": lambda n: Reduce(n, chunk_factor=2, root=n - 1),
+}
+
+
+def _gathering_program(coll, drop_one):
+    """Build every expected reduction on its rank by copying the inputs
+    into scratch and reducing them; ``drop_one`` leaves out the last
+    contribution of each."""
+    with MSCCLProgram("gather", coll) as program:
+        slot = 0
+        for rank in range(coll.num_ranks):
+            for index, want in sorted(coll.postcondition(rank).items()):
+                inputs = [c for c, _ in want.contributions]
+                if drop_one:
+                    inputs = inputs[:-1]
+                acc = chunk(inputs[0].rank, "in", inputs[0].index).copy(
+                    rank, "sc", slot)
+                for src in inputs[1:]:
+                    acc = acc.reduce(chunk(src.rank, "in", src.index).copy(
+                        rank, "sc", slot + 1))
+                acc.copy(rank, "out", index)
+                slot += 2
+    return program
+
+
+@pytest.mark.parametrize("num_ranks", [4, 8])
+@pytest.mark.parametrize("kind", sorted(REDUCING))
+class TestReducingPostconditions:
+    def test_mappings_equal_freshly_built_ones(self, kind, num_ranks):
+        coll = REDUCING[kind](num_ranks)
+        for _ in range(2):  # a second call reuses what the first built
+            for rank in range(num_ranks):
+                assert coll.postcondition(rank) == _expected(coll, rank)
+
+    def test_each_call_returns_its_own_mapping(self, kind, num_ranks):
+        coll = REDUCING[kind](num_ranks)
+        first = coll.postcondition(coll.num_ranks - 1)
+        first.clear()
+        assert coll.postcondition(coll.num_ranks - 1)
+
+
+# In place, the gathering program would overwrite inputs it still reads.
+@pytest.mark.parametrize("num_ranks", [4, 8])
+@pytest.mark.parametrize("kind", ["allreduce", "reducescatter", "reduce"])
+def test_wrong_program_is_still_rejected(kind, num_ranks):
+    make = REDUCING[kind]
+    check_postcondition(_gathering_program(make(num_ranks), False))
+    with pytest.raises(VerificationError, match="expected"):
+        check_postcondition(_gathering_program(make(num_ranks), True))
+
+
+def test_allreduce_shares_one_reduction_across_ranks():
+    coll = AllReduce(8, chunk_factor=2)
+    assert coll.postcondition(0)[1] is coll.postcondition(7)[1]

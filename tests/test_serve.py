@@ -18,6 +18,7 @@ from repro.serve import (
     reset_serve_stats,
     serve_stats,
 )
+from repro.serve.service import MAX_RANKS, MAX_SIZE_BYTES
 
 
 @pytest.fixture(autouse=True)
@@ -334,6 +335,54 @@ class TestWireProtocol:
             assert answer["ok"] is False
             assert name in answer["error"]
         assert pong == {"ok": True, "pong": True}
+
+    def test_oversized_fields_answer_with_errors(self):
+        # Each field past its ceiling, alone over one live connection:
+        # 33 NDv4 nodes and 17 DGX-2 nodes are 264 and 272 ranks.
+        oversized = [
+            ("size", {"size": 1e30}),
+            ("size", {"size": MAX_SIZE_BYTES + 1}),
+            ("size", {"size": 10 ** 30}),
+            ("nodes", {"nodes": 33}),
+            ("nodes", {"nodes": 17, "topology": "dgx2"}),
+            ("nodes", {"nodes": 10 ** 12}),
+            ("gpus_per_node", {"topology": "generic",
+                               "gpus_per_node": MAX_RANKS + 1}),
+            ("gpus_per_node", {"topology": "generic", "nodes": 2,
+                               "gpus_per_node": 129}),
+        ]
+
+        async def body(service, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            answers = []
+            for _name, fields in oversized:
+                doc = {"op": "plan", "collective": "allreduce",
+                       "size": 1024, **fields}
+                writer.write(json.dumps(doc).encode() + b"\n")
+                await writer.drain()
+                answers.append(json.loads(await reader.readline()))
+            writer.write(b'{"op":"ping"}\n')
+            await writer.drain()
+            pong = json.loads(await reader.readline())
+            writer.close()
+            return answers, pong
+
+        answers, pong = self.run_with_server(body)
+        for (name, _fields), answer in zip(oversized, answers):
+            assert answer["ok"] is False
+            assert name in answer["error"]
+        assert pong == {"ok": True, "pong": True}
+        # Each was refused before any compile started.
+        stats = serve_stats()
+        assert stats["errors"] == len(oversized)
+        assert stats["cold_misses"] == 0
+
+    def test_largest_allowed_request_is_accepted(self):
+        request = PlanRequest.from_doc(
+            {"collective": "allreduce", "size": MAX_SIZE_BYTES,
+             "nodes": MAX_RANKS // 8})
+        assert request.nodes * 8 == MAX_RANKS
+        assert request.size_bytes == MAX_SIZE_BYTES
 
     def test_client_raises_on_service_error(self):
         async def body(service, host, port):
