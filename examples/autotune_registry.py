@@ -8,7 +8,7 @@ the runtime select dynamically with NCCL fallback (section 6). This
 example automates the whole loop:
 
 1. autotune the Ring AllReduce schedule space on an 8xA100 node,
-2. package the per-size winners as an AlgorithmRegistry,
+2. package the per-size winners as a PlanTable of size ranges,
 3. mount it on a Communicator and replay a mixed workload,
 4. show the per-algorithm call summary.
 
@@ -16,7 +16,7 @@ Run:  python examples/autotune_registry.py
 """
 
 from repro.algorithms import ring_allreduce
-from repro.analysis import Candidate, build_registry, format_size, tune
+from repro.analysis import Candidate, format_size, plan_table, tune
 from repro.nccl import NcclModel
 from repro.runtime import Communicator
 from repro.topology import ndv4
@@ -47,16 +47,16 @@ def main() -> None:
     for candidate, reason in result.skipped:
         print(f"skipped {candidate.label}: {reason}")
 
-    registry = build_registry(result, "allreduce")
-    print(f"\nregistry: {len(registry.algorithms)} size ranges")
-    for entry in registry.algorithms:
-        hi = ("inf" if entry.max_bytes == float("inf")
-              else format_size(entry.max_bytes + 1))
-        print(f"  [{format_size(max(entry.min_bytes, 1)):>6s} .. "
-              f"{hi:>6s}]  {entry.label}")
+    table = plan_table(result)
+    print(f"\nplan table: {len(table.rows)} size ranges")
+    for min_bytes, max_bytes, plan in table.rows:
+        hi = ("inf" if max_bytes == float("inf")
+              else format_size(max_bytes + 1))
+        print(f"  [{format_size(max(min_bytes, 1)):>6s} .. "
+              f"{hi:>6s}]  {plan.label}")
 
     comm = Communicator(ndv4(1))
-    comm.register_registry(registry, sizing_chunks=8)
+    comm.register_table("allreduce", table)
     nccl = NcclModel(ndv4(1))
     print("\nreplaying a mixed workload through the communicator:")
     workload = [16 * KiB, 1 * MiB, 16 * KiB, 64 * MiB, 128 * KiB,

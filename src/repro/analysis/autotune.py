@@ -7,8 +7,9 @@ autotuner runs that loop automatically: give it a program *builder*
 parameterized by (channels, instances, protocol), a topology, and a
 size grid; it compiles every candidate the SM budget admits, simulates
 each size, and returns the best configuration per size — optionally
-packaged as an :class:`~repro.runtime.config.AlgorithmRegistry` with
-contiguous size ranges, ready for the runtime's dynamic selection.
+packaged by :func:`plan_table` as a :class:`~repro.runtime.plans.
+PlanTable` with contiguous size ranges, ready for the runtime's
+dynamic selection.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import functools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cache import default_compile_cache
@@ -23,11 +25,11 @@ from ..core.compiler import CompilerOptions, compile_program
 from ..core.errors import MscclError
 from ..core.ir import MscclIr
 from ..core.program import MSCCLProgram
-from ..runtime.config import AlgorithmRegistry
+from ..runtime.plans import Plan, PlanTable, chunk_bytes_for
 from ..runtime.simulator import IrSimulator, SimConfig
 from ..topology.model import Topology
 from .parallel import parallel_map, resolve_jobs
-from .sweep import IrTimer, _eval_point, chunk_bytes_for
+from .sweep import IrTimer, _eval_point
 
 # builder(channels=..., instances=..., protocol=...) -> MSCCLProgram
 Builder = Callable[..., MSCCLProgram]
@@ -59,8 +61,17 @@ class TuningResult:
     best: Dict[int, Candidate] = field(default_factory=dict)
     skipped: List[Tuple[Candidate, str]] = field(default_factory=list)
     # Chunks a call buffer divides into for the tuned collective;
-    # build_registry stamps it onto every registry entry.
+    # plan_table stamps it onto every plan.
     sizing_chunks: int = 1
+    # Every candidate that compiled, as its IR.
+    compiled: Dict[Candidate, MscclIr] = field(default_factory=dict)
+
+    @property
+    def _compiled(self) -> Dict[Candidate, SimpleNamespace]:
+        """``compiled`` in the ``[candidate].ir`` shape that
+        perfbench/tune.py's reference check still reads."""
+        return {candidate: SimpleNamespace(ir=ir)
+                for candidate, ir in self.compiled.items()}
 
     def best_time(self, size: int) -> float:
         return self.times[(self.best[size], size)]
@@ -135,7 +146,6 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
     space = space if space is not None else default_space()
     config = sim_config or SimConfig()
     jobs = resolve_jobs(jobs)
-    compiled: Dict[Candidate, MscclIr] = {}
     result = TuningResult(candidates=[], sizes=list(sizes), times={},
                           sizing_chunks=collective_sizing_chunks)
     if jobs == 1:
@@ -153,7 +163,8 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
                     instances=candidate.instances,
                     protocol=candidate.protocol,
                 )
-                compiled[candidate] = compile_program(program, options)
+                result.compiled[candidate] = compile_program(
+                    program, options).ir
                 result.candidates.append(candidate)
             except MscclError as error:
                 result.skipped.append((candidate, str(error)))
@@ -164,12 +175,12 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
                                 tracer=tracer, label="tune.compile")
         for candidate, (status, payload) in zip(space, outcomes):
             if status == "ok":
-                compiled[candidate] = MscclIr.from_json(payload)
+                result.compiled[candidate] = MscclIr.from_json(payload)
                 result.candidates.append(candidate)
             else:
                 result.skipped.append((candidate, payload))
 
-    if not compiled:
+    if not result.compiled:
         raise ValueError(
             "no candidate configuration compiled; the space may exceed "
             "the SM budget everywhere"
@@ -178,7 +189,7 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
     if jobs == 1:
         times = {}
         for size in result.sizes:
-            for candidate, ir in compiled.items():
+            for candidate, ir in result.compiled.items():
                 simulator = IrSimulator(ir, topology, config=config)
                 times[(candidate, size)] = simulator.run(
                     chunk_bytes=chunk_bytes_for(
@@ -188,7 +199,7 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
         timers = {
             candidate: IrTimer(ir, topology, collective_sizing_chunks,
                                config)
-            for candidate, ir in compiled.items()
+            for candidate, ir in result.compiled.items()
         }
         tasks = [
             (timers[candidate], size)
@@ -211,7 +222,6 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
                 best_time = elapsed
                 best_candidate = candidate
         result.best[size] = best_candidate
-    result._compiled = compiled  # kept for build_registry
     return result
 
 
@@ -240,34 +250,14 @@ async def tune_async(builder: Builder, topology: Topology,
     return await loop.run_in_executor(executor, fn)
 
 
-def build_registry(result: TuningResult,
-                   collective_name: str) -> AlgorithmRegistry:
-    """Package the winners as contiguous size-range registrations.
+def plan_table(result: TuningResult) -> PlanTable[Plan]:
+    """Package the winners as contiguous size-range plans.
 
-    Adjacent sizes won by the same candidate merge into one range; the
-    last range extends to infinity (the runtime may still fall back to
-    NCCL by setting ``registry.fallback``).
+    Adjacent sizes won by the same candidate merge into one row; the
+    rows tile every size, from 0 to infinity (see
+    :meth:`PlanTable.tiled`).
     """
-    registry = AlgorithmRegistry(collective_name)
-    compiled = result._compiled
-    spans: List[Tuple[int, int, Candidate]] = []
-    for size in result.sizes:
-        winner = result.best[size]
-        if spans and spans[-1][2] == winner:
-            lo, _hi, _ = spans[-1]
-            spans[-1] = (lo, size, winner)
-        else:
-            spans.append((size, size, winner))
-    for index, (lo, _hi, winner) in enumerate(spans):
-        lower = 0 if index == 0 else lo
-        if index == len(spans) - 1:
-            upper = float("inf")
-        else:
-            # Extend up to (but excluding) the next winner's first size,
-            # so the ranges tile the whole axis with no gaps.
-            upper = spans[index + 1][0] - 1
-        registry.register(
-            compiled[winner], min_bytes=lower, max_bytes=upper,
-            label=winner.label, sizing_chunks=result.sizing_chunks,
-        )
-    return registry
+    return PlanTable.tiled(
+        result.sizes, result.best.__getitem__,
+        lambda winner, _first: Plan(result.compiled[winner],
+                                    winner.label, result.sizing_chunks))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -24,6 +23,7 @@ from ..core.collectives import Collective
 from ..core.compiler import (CompiledAlgorithm, CompilerOptions,
                              compile_program)
 from ..core.ir import MscclIr
+from ..runtime.plans import chunk_bytes_for
 from ..runtime.simulator import IrSimulator, SimConfig
 from ..topology.model import Topology
 from .parallel import parallel_map, resolve_jobs
@@ -61,22 +61,6 @@ def format_size(nbytes: float) -> str:
     if nbytes >= KiB:
         return f"{nbytes / KiB:g}KB"
     return f"{nbytes:g}B"
-
-
-def chunk_bytes_for(buffer_bytes: float, chunks: int) -> int:
-    """Bytes per chunk when a call buffer divides into ``chunks``.
-
-    Rounded *up*, matching how the runtime tiles real buffers: a
-    970-byte buffer over 8 chunks moves 8 chunks of 122 bytes, not
-    fractional 121.25-byte chunks. Every byte->chunk sizing in the
-    evaluation path (sweeps, tuning, the CLI) goes through here so
-    they can never disagree.
-    """
-    if chunks < 1:
-        raise ValueError(f"chunks must be >= 1, got {chunks}")
-    if buffer_bytes < 0:
-        raise ValueError(f"buffer_bytes must be >= 0, got {buffer_bytes}")
-    return int(math.ceil(buffer_bytes / chunks))
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """The MSCCLang runtime substitute: protocols, simulator, executor."""
 
 from .api import CallRecord, Communicator
-from .config import AlgorithmRegistry, RegisteredAlgorithm
 from .events import EventLoop, Signal
 from .executor import FaultPlan, IrExecutor, PopEvent
+from .plans import Plan, PlanTable, chunk_bytes_for
 from .profile import (
     TbProfile,
     critical_path,
@@ -18,7 +18,6 @@ from .simulator import (IrSimulator, SimConfig, SimResult, TraceEntry,
                         happens_before_pairs)
 
 __all__ = [
-    "AlgorithmRegistry",
     "CallRecord",
     "Communicator",
     "EventLoop",
@@ -28,9 +27,10 @@ __all__ = [
     "LL",
     "LL128",
     "PROTOCOLS",
+    "Plan",
+    "PlanTable",
     "PopEvent",
     "Protocol",
-    "RegisteredAlgorithm",
     "SIMPLE",
     "SIMPLE_DIRECT",
     "SimConfig",
@@ -43,6 +43,7 @@ __all__ = [
     "slowest_threadblocks",
     "timeline",
     "utilization_report",
+    "chunk_bytes_for",
     "get_protocol",
     "happens_before_pairs",
 ]

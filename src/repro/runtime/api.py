@@ -15,6 +15,9 @@ handle returned by ``compile_program``::
     algo = compile_program(program)
     comm.register(algo, max_bytes=2 * MiB, label="ring-ll")
 
+A tuned :class:`~repro.runtime.plans.PlanTable` mounts whole with
+``comm.register_table("allreduce", plan_table(result))``.
+
 The legacy ``register(ir, collective)`` pair was removed after its
 deprecation cycle; pass the handle.
 """
@@ -22,13 +25,13 @@ deprecation cycle; pass the handle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.compiler import CompiledAlgorithm
 from ..core.errors import RuntimeConfigError
 from ..nccl.selector import NcclModel
 from ..topology.model import Topology
-from .config import AlgorithmRegistry
+from .plans import Plan, PlanTable, chunk_bytes_for
 from .simulator import IrSimulator, SimConfig, SimResult
 
 
@@ -58,7 +61,7 @@ class Communicator:
     history: List[CallRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._registries: Dict[str, AlgorithmRegistry] = {}
+        self._tables: Dict[str, PlanTable[Plan]] = {}
         self._nccl = NcclModel(self.topology, self.sim_config)
 
     @property
@@ -69,13 +72,15 @@ class Communicator:
     def register(self, algorithm: CompiledAlgorithm, *,
                  min_bytes: float = 0.0,
                  max_bytes: float = float("inf"),
-                 label: str = "") -> None:
+                 label: str = "") -> PlanTable[Plan]:
         """Register a compiled algorithm for a buffer-size range.
 
         ``algorithm`` is the :class:`CompiledAlgorithm` from
         ``compile_program`` — one object carrying the IR and its
-        collective. (The pre-PR-1 ``register(ir, collective)`` pair is
-        gone; positional extras now raise ``TypeError``.)
+        collective, whose sizing the plan takes. (The pre-PR-1
+        ``register(ir, collective)`` pair is gone; positional extras now
+        raise ``TypeError``.) Returns the collective's new table: the
+        old one with this row appended, so earlier rows still win.
         """
         if not isinstance(algorithm, CompiledAlgorithm):
             raise RuntimeConfigError(
@@ -84,34 +89,36 @@ class Communicator:
                 "with the deprecated (ir, collective) pair)"
             )
         ir = algorithm.ir
-        collective = algorithm.collective
+        plan = Plan(ir, label or ir.name, algorithm.sizing_chunks())
+        self._check_plan(ir.collective, plan)
+        table = self._tables.get(ir.collective, PlanTable()).appended(
+            plan, min_bytes=min_bytes, max_bytes=max_bytes)
+        self._tables[ir.collective] = table
+        return table
+
+    def register_table(self, collective: str,
+                       table: PlanTable[Plan]) -> None:
+        """Serve ``collective`` from a whole table (e.g. the autotuner's
+        :func:`~repro.analysis.autotune.plan_table`), replacing any
+        earlier registrations for it. Every row gets the checks
+        :meth:`register` makes, so a mismatched table fails here and
+        not at its first call."""
+        for _min_bytes, _max_bytes, plan in table.rows:
+            self._check_plan(collective, plan)
+        self._tables[collective] = table
+
+    def _check_plan(self, collective: str, plan: Plan) -> None:
+        ir = plan.ir
+        if ir.collective != collective:
+            raise RuntimeConfigError(
+                f"plan {plan.label!r} implements {ir.collective!r}, "
+                f"not {collective!r}"
+            )
         if ir.num_ranks != self.num_ranks:
             raise RuntimeConfigError(
                 f"program has {ir.num_ranks} ranks, communicator has "
                 f"{self.num_ranks}"
             )
-        registry = self._registries.setdefault(
-            ir.collective, AlgorithmRegistry(ir.collective)
-        )
-        # Sizing rides along at construction time so calls can convert
-        # buffer bytes to chunks (and adopted registries stay coherent).
-        registry.register(
-            ir, min_bytes=min_bytes, max_bytes=max_bytes, label=label,
-            sizing_chunks=collective.sizing_chunks(),
-        )
-
-    def register_registry(self, registry: AlgorithmRegistry,
-                          sizing_chunks: Optional[int] = None) -> None:
-        """Adopt a whole registry (e.g. from the autotuner).
-
-        Entries carry their sizing from registration time;
-        ``sizing_chunks`` overrides it for registries built before
-        sizing moved into the entry constructor.
-        """
-        if sizing_chunks is not None:
-            for entry in registry.algorithms:
-                entry.sizing_chunks = sizing_chunks
-        self._registries[registry.collective_name] = registry
 
     # -- collective calls ---------------------------------------------------
     def all_reduce(self, buffer_bytes: float) -> SimResult:
@@ -130,20 +137,14 @@ class Communicator:
 
     def _call(self, collective: str, buffer_bytes: float,
               fallback) -> SimResult:
-        registry = self._registries.get(collective)
-        entry = None
-        if registry is not None:
-            for candidate in registry.algorithms:
-                if candidate.matches(buffer_bytes):
-                    entry = candidate
-                    break
-        if entry is not None:
-            simulator = IrSimulator(entry.ir, self.topology,
+        table = self._tables.get(collective)
+        plan = None if table is None else table.select(buffer_bytes)
+        if plan is not None:
+            simulator = IrSimulator(plan.ir, self.topology,
                                     config=self.sim_config)
-            result = simulator.run(
-                chunk_bytes=buffer_bytes / entry.sizing_chunks
-            )
-            label = entry.label
+            result = simulator.run(chunk_bytes=chunk_bytes_for(
+                buffer_bytes, plan.sizing_chunks))
+            label = plan.label
         elif fallback is not None:
             result = fallback(buffer_bytes)
             label = "nccl-fallback"

@@ -27,10 +27,18 @@ metadata — while doing three things no library call gets for free:
   > 1) and *promotes* the per-size winners into the plan table. Later
   requests transparently get the tuned plan for their size.
 
+Each family's plans sit in one :class:`~repro.runtime.plans.PlanTable`
+of response-ready :class:`PlanSpan` rows — the same size-range
+selector the :class:`~repro.runtime.api.Communicator` uses, tiled from
+the tuner's winners by the same :meth:`~repro.runtime.plans.PlanTable.
+tiled`. A promotion swaps in a new table; tables never change in place.
+
 Counters (requests, hits, dedup, promotions, ...) live in
 :mod:`repro.serve.stats` and surface through
-:func:`repro.observe.metrics_dict`; each request also lands as a
-``serve.request`` span on the service's tracer.
+:func:`repro.observe.metrics_dict`. Cold and deduplicated requests
+also land as ``serve.request`` spans on the service's tracer; table
+hits are only counted (``plan_hits``), so the tracer grows with
+compiles, not with requests.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from ..core.cache import CompileCache, default_compile_cache
 from ..core.compiler import CompilerOptions, compile_program
 from ..core.errors import MscclError
 from ..observe.tracer import Tracer
+from ..runtime.plans import PlanTable
 from ..topology import presets
 from ..topology.model import Topology
 from .stats import bump, serve_stats
@@ -69,8 +78,8 @@ PROTOCOLS = ("Simple", "LL", "LL128")
 MAX_RANKS = 256
 MAX_SIZE_BYTES = 2 ** 40
 
-# Sizes the background tuner scores each candidate on; spans between
-# grid points are tiled contiguously, mirroring build_registry.
+# Sizes the background tuner scores each candidate on; the plan table
+# tiles the sizes between grid points (PlanTable.tiled).
 DEFAULT_TUNE_SIZES = (64 * KiB, 1 * MiB, 16 * MiB)
 
 # A deliberately small space: the service's job is to answer fast and
@@ -150,14 +159,9 @@ COLLECTIVES: Dict[str, Callable] = {
     "broadcast": _broadcast_builder,
 }
 
-TOPOLOGIES: Dict[str, Callable[..., Topology]] = {
-    "ndv4": presets.ndv4,
-    "dgx2": presets.dgx2,
-    "dgx1": presets.dgx1,
-}
 # GPUs per node of each preset (a generic request names its own).
 _PRESET_GPUS = {name: build(1).num_ranks
-                for name, build in TOPOLOGIES.items()}
+                for name, build in presets.PRESETS.items()}
 
 
 @dataclass(frozen=True)
@@ -190,10 +194,10 @@ class PlanRequest:
                 f"unknown collective {collective!r}; choose from "
                 f"{', '.join(sorted(COLLECTIVES))}")
         topology = doc.get("topology", "ndv4")
-        if topology != "generic" and topology not in TOPOLOGIES:
+        if topology != "generic" and topology not in presets.PRESETS:
             raise ServeError(
                 f"unknown topology {topology!r}; choose from "
-                f"generic, {', '.join(sorted(TOPOLOGIES))}")
+                f"generic, {', '.join(sorted(presets.PRESETS))}")
         size = _int_field(doc.get("size", doc.get("size_bytes")),
                           "request needs an integer 'size' in bytes")
         if not 0 <= size <= MAX_SIZE_BYTES:
@@ -234,14 +238,14 @@ class PlanRequest:
     def build_topology(self) -> Topology:
         if self.topology == "generic":
             return presets.generic(self.gpus_per_node, self.nodes)
-        return TOPOLOGIES[self.topology](self.nodes)
+        return presets.PRESETS[self.topology](self.nodes)
 
 
 class PlanSpan:
-    """One size range of a family's plan table, response-ready.
+    """One row's plan in a family's plan table, response-ready.
 
     Both response forms are serialized once at creation, so the warm
-    path costs a range scan plus a socket write — no JSON encoding, no
+    path costs a table lookup plus a socket write — no JSON encoding, no
     XML serialization, no compiler. On the wire the XML travels as a
     raw length-prefixed blob *after* the JSON header line (the header
     carries ``xml_bytes``): embedding megabytes of XML inside a JSON
@@ -249,14 +253,10 @@ class PlanSpan:
     of a warm request's cost.
     """
 
-    __slots__ = ("min_bytes", "max_bytes", "payload", "_json_full",
-                 "_json_bare", "_wire_full", "_wire_bare",
-                 "_wire_match")
+    __slots__ = ("payload", "_json_full", "_json_bare", "_wire_full",
+                 "_wire_bare", "_wire_match")
 
-    def __init__(self, min_bytes: float, max_bytes: float,
-                 payload: Dict):
-        self.min_bytes = min_bytes
-        self.max_bytes = max_bytes
+    def __init__(self, payload: Dict):
         self.payload = payload
         self._json_full = json.dumps(payload, separators=(",", ":"))
         bare = {k: v for k, v in payload.items() if k != "xml"}
@@ -274,9 +274,6 @@ class PlanSpan:
             b'{"ok":true,"plan":{"plan_id":"'
             + payload["plan_id"].encode() + b'","match":true}}\n')
 
-    def matches(self, nbytes: float) -> bool:
-        return self.min_bytes <= nbytes <= self.max_bytes
-
     def payload_json(self, include_xml: bool) -> str:
         return self._json_full if include_xml else self._json_bare
 
@@ -285,27 +282,25 @@ class PlanSpan:
 
 
 class PlanFamily:
-    """Everything the service knows about one plan family."""
+    """Everything the service knows about one plan family.
+
+    ``table`` covers every size from 0 to infinity: the provisional
+    plan as one row, then the tuned rows :func:`_tuned_table` tiles.
+    """
 
     __slots__ = ("key", "builder", "topology", "sizing_chunks",
-                 "spans", "tuned", "tune_scheduled")
+                 "table", "tuned", "tune_scheduled")
 
     def __init__(self, key: Tuple, builder: Callable,
                  topology: Topology, sizing_chunks: int,
-                 spans: List[PlanSpan]):
+                 table: PlanTable[PlanSpan]):
         self.key = key
         self.builder = builder
         self.topology = topology
         self.sizing_chunks = sizing_chunks
-        self.spans = spans
+        self.table = table
         self.tuned = False
         self.tune_scheduled = False
-
-    def span_for(self, nbytes: float) -> PlanSpan:
-        for span in self.spans:
-            if span.matches(nbytes):
-                return span
-        return self.spans[-1]
 
 
 def _plan_payload(ir, *, label: str, sizing_chunks: int, origin: str,
@@ -329,29 +324,15 @@ def _plan_payload(ir, *, label: str, sizing_chunks: int, origin: str,
     }
 
 
-def _spans_from_tuning(result: TuningResult) -> List[PlanSpan]:
-    """Per-size winners merged into contiguous spans (build_registry's
-    tiling: first span reaches down to 0, last up to infinity)."""
-    merged: List[List] = []  # [first_size, last_size, winner]
-    for size in result.sizes:
-        winner = result.best[size]
-        if merged and merged[-1][2] == winner:
-            merged[-1][1] = size
-        else:
-            merged.append([size, size, winner])
-    spans = []
-    for index, (first, _last, winner) in enumerate(merged):
-        lower = 0 if index == 0 else first
-        upper = (float("inf") if index == len(merged) - 1
-                 else merged[index + 1][0] - 1)
-        compiled = result._compiled[winner]
-        ir = getattr(compiled, "ir", compiled)  # CompiledAlgorithm or raw
-        spans.append(PlanSpan(lower, upper, _plan_payload(
-            ir, label=winner.label,
+def _tuned_table(result: TuningResult) -> PlanTable[PlanSpan]:
+    """The tuner's winners as response-ready rows; each row predicts
+    the time of the first tuned size it won."""
+    return PlanTable.tiled(
+        result.sizes, result.best.__getitem__,
+        lambda winner, first: PlanSpan(_plan_payload(
+            result.compiled[winner], label=winner.label,
             sizing_chunks=result.sizing_chunks, origin="tuned",
-            tuned=True, predicted_us=result.times[(winner, first)],
-        )))
-    return spans
+            tuned=True, predicted_us=result.times[(winner, first)])))
 
 
 class PlanService:
@@ -413,28 +394,29 @@ class PlanService:
 
     async def _resolve(self, request: PlanRequest) -> PlanSpan:
         bump("requests")
-        start = time.perf_counter() * 1e6
         key = request.family_key()
         family = self._families.get(key)
         if family is not None:
-            source = "table"
+            # Counted, not traced: a span per hit would grow the tracer
+            # with every request for the life of the process.
             bump("plan_hits")
+            return family.table.select(request.size_bytes)
+        start = time.perf_counter() * 1e6
+        task = self._inflight.get(key)
+        if task is not None:
+            source = "dedup"
+            bump("dedup_inflight")
         else:
-            task = self._inflight.get(key)
-            if task is not None:
-                source = "dedup"
-                bump("dedup_inflight")
-            else:
-                source = "cold"
-                bump("cold_misses")
-                task = asyncio.ensure_future(self._build_family(request))
-                self._inflight[key] = task
-                task.add_done_callback(
-                    lambda _t, key=key: self._inflight.pop(key, None))
-            # shield: a cancelled waiter (client hung up) must not kill
-            # the compile other waiters are parked on.
-            family = await asyncio.shield(task)
-        span = family.span_for(request.size_bytes)
+            source = "cold"
+            bump("cold_misses")
+            task = asyncio.ensure_future(self._build_family(request))
+            self._inflight[key] = task
+            task.add_done_callback(
+                lambda _t, key=key: self._inflight.pop(key, None))
+        # shield: a cancelled waiter (client hung up) must not kill the
+        # compile other waiters are parked on.
+        family = await asyncio.shield(task)
+        span = family.table.select(request.size_bytes)
         end = time.perf_counter() * 1e6
         self.tracer.emit(
             "serve.request", start, end, cat="serve",
@@ -477,7 +459,7 @@ class PlanService:
             algo.ir, label=f"ch=1 r=1 {protocol}", sizing_chunks=sizing,
             origin=origin, tuned=False, predicted_us=None)
         return PlanFamily(request.family_key(), builder, topology,
-                          sizing, [PlanSpan(0, float("inf"), payload)])
+                          sizing, PlanTable().appended(PlanSpan(payload)))
 
     # -- background autotuning -------------------------------------------
 
@@ -505,14 +487,14 @@ class PlanService:
                 family.builder, family.topology, self.tune_sizes,
                 family.sizing_chunks, space=self._space_for(protocol),
                 jobs=self.tune_jobs, executor=self._executor)
-            spans = await asyncio.get_running_loop().run_in_executor(
-                self._executor, _spans_from_tuning, result)
+            table = await asyncio.get_running_loop().run_in_executor(
+                self._executor, _tuned_table, result)
         except asyncio.CancelledError:
             raise
         except (MscclError, ValueError):
             bump("tune_errors")
             return
-        family.spans = spans
+        family.table = table
         family.tuned = True
         bump("promotions")
 

@@ -60,10 +60,8 @@ from ..observe import (Tracer, chunk_journey, diagnose, diagnose_text,
                        metrics_dict, metrics_text, write_chrome_trace)
 from ..runtime.executor import IrExecutor
 from ..runtime.simulator import IrSimulator, SimConfig
-from ..topology import dgx1, dgx2, generic, ndv4
+from ..topology import PRESETS, generic
 from .. import algorithms
-
-TOPOLOGIES = {"ndv4": ndv4, "dgx2": dgx2, "dgx1": dgx1}
 
 # name -> (builder kwargs adapter); builders come from repro.algorithms.
 ALGORITHMS = {
@@ -124,7 +122,7 @@ def build_topology(args):
     """The cluster the command targets."""
     if args.topology == "generic":
         return generic(args.ranks // args.nodes, args.nodes)
-    topo = TOPOLOGIES[args.topology](args.nodes)
+    topo = PRESETS[args.topology](args.nodes)
     if args.ranks != topo.num_ranks:
         raise SystemExit(
             f"--ranks {args.ranks} does not match {args.topology} with "
@@ -154,7 +152,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--protocol", default="Simple",
                         choices=["Simple", "LL", "LL128"])
     parser.add_argument("--topology", default="generic",
-                        choices=["generic", *TOPOLOGIES])
+                        choices=["generic", *PRESETS])
 
 
 def _compile(args) -> int:
@@ -712,7 +710,7 @@ def main(argv: Optional[list] = None) -> int:
     conform_parser.add_argument("--protocol", default="Simple",
                                 choices=["Simple", "LL", "LL128"])
     conform_parser.add_argument("--topology", default="generic",
-                                choices=["generic", *TOPOLOGIES])
+                                choices=["generic", *PRESETS])
     conform_parser.add_argument(
         "--seeds", type=int, default=5,
         help="shuffled-schedule rounds per algorithm",
@@ -843,7 +841,7 @@ def main(argv: Optional[list] = None) -> int:
     plan_parser.add_argument("--port", type=int, default=8765)
     plan_parser.add_argument("--size", default="1MB")
     plan_parser.add_argument("--topology", default="ndv4",
-                             choices=["generic", *TOPOLOGIES])
+                             choices=["generic", *PRESETS])
     plan_parser.add_argument("--nodes", type=int, default=1)
     plan_parser.add_argument("--gpus-per-node", type=int, default=8,
                              help="only used with --topology generic")

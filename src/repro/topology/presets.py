@@ -16,6 +16,8 @@ thread block's copy rate vs a link).
 
 from __future__ import annotations
 
+from typing import Callable, Dict
+
 from .model import MachineSpec, Topology
 
 NDV4_A100 = MachineSpec(
@@ -77,6 +79,14 @@ def dgx2(num_nodes: int = 1) -> Topology:
 def dgx1(num_nodes: int = 1) -> Topology:
     """NVIDIA DGX-1 cluster (8 V100 GPUs per node)."""
     return Topology(DGX1_V100, num_nodes)
+
+
+# Every named preset, by the name the CLI and the plan service accept.
+PRESETS: Dict[str, Callable[[int], Topology]] = {
+    "ndv4": ndv4,
+    "dgx2": dgx2,
+    "dgx1": dgx1,
+}
 
 
 def generic(gpus_per_node: int, num_nodes: int = 1, *,

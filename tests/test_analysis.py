@@ -1,4 +1,4 @@
-"""Tests for sweeps, tables, the registry, and the end-to-end model."""
+"""Tests for sweeps, tables, the plan table, and the end-to-end model."""
 
 import pytest
 
@@ -22,9 +22,10 @@ from repro.analysis import (
     summary_lines,
 )
 from repro.core import CompilerOptions, compile_program
-from repro.runtime import AlgorithmRegistry
+from repro.runtime import Communicator, Plan, PlanTable
 from repro.core.errors import RuntimeConfigError
-from repro.topology import ndv4
+from repro.algorithms import ring_allgather
+from repro.topology import generic, ndv4
 from tests.conftest import build_ring_allreduce
 
 
@@ -141,60 +142,67 @@ class TestIrTimer:
         topo = ndv4(1)
 
         # A 4-rank program on an 8-GPU node is fine: pad via generic.
-        from repro.topology import generic
         timer = ir_timer(ir, generic(4, 1), program.collective)
         assert timer(MiB) > 0
         assert timer(16 * MiB) > timer(MiB)
 
 
 class TestRegistry:
+    """Size selection through PlanTable and the communicator's tables."""
+
     def _registry(self):
         program = build_ring_allreduce(4)
         algo = compile_program(program, CompilerOptions())
-        registry = AlgorithmRegistry("allreduce")
-        registry.register(algo, min_bytes=0, max_bytes=MiB, label="small")
-        return registry, algo
+        comm = Communicator(generic(4, 1))
+        table = comm.register(algo, min_bytes=0, max_bytes=MiB,
+                              label="small")
+        return comm, table, algo
 
     def test_selects_by_size(self):
-        registry, algo = self._registry()
-        assert registry.select(512 * KiB) is algo.ir
-        assert registry.selected_label(512 * KiB) == "small"
+        comm, table, algo = self._registry()
+        plan = table.select(512 * KiB)
+        assert plan.ir is algo.ir
+        assert plan.label == "small"
+        comm.all_reduce(512 * KiB)
+        assert comm.history[-1].algorithm == "small"
 
     def test_sizing_adopted_from_compiled_algorithm(self):
-        registry, algo = self._registry()
-        entry = registry.algorithms[0]
-        assert entry.sizing_chunks == algo.sizing_chunks()
-
-    def test_fallback_used_outside_ranges(self):
-        registry, ir = self._registry()
-        sentinel = object()
-        registry.fallback = lambda nbytes: sentinel
-        assert registry.select(8 * MiB) is sentinel
-        assert registry.selected_label(8 * MiB) == "fallback"
+        _comm, table, algo = self._registry()
+        (_lo, _hi, plan), = table.rows
+        assert plan.sizing_chunks == algo.sizing_chunks()
 
     def test_no_match_no_fallback_raises(self):
-        registry, _ = self._registry()
+        comm, table, algo = self._registry()
+        assert table.select(8 * MiB) is None
+        # allgather has no NCCL built-in to fall back to.
+        program = ring_allgather(4)
+        gather = compile_program(program, CompilerOptions())
+        comm.register(gather, max_bytes=MiB)
         with pytest.raises(RuntimeConfigError):
-            registry.select(8 * MiB)
+            comm.all_gather(8 * MiB)
 
     def test_wrong_collective_rejected(self):
-        registry, ir = self._registry()
-        bad = AlgorithmRegistry("alltoall")
-        with pytest.raises(RuntimeConfigError):
-            bad.register(ir)
+        comm, table, _algo = self._registry()
+        with pytest.raises(RuntimeConfigError, match="implements"):
+            comm.register_table("alltoall", table)
 
     def test_empty_range_rejected(self):
-        registry, ir = self._registry()
-        with pytest.raises(RuntimeConfigError):
-            registry.register(ir, min_bytes=10, max_bytes=5)
+        comm, table, algo = self._registry()
+        with pytest.raises(RuntimeConfigError, match="empty size range"):
+            comm.register(algo, min_bytes=10, max_bytes=5)
+        with pytest.raises(RuntimeConfigError, match="empty size range"):
+            PlanTable(((10, 5, table.select(0)),))
+        # A rejected registration leaves the existing table in place.
+        assert comm.register(algo).rows[:1] == table.rows
 
     def test_first_match_wins(self):
-        registry, algo = self._registry()
+        comm, table, algo = self._registry()
         program2 = build_ring_allreduce(4, instances=2)
         algo2 = compile_program(program2, CompilerOptions())
-        registry.register(algo2, min_bytes=0, max_bytes=MiB,
-                          label="later")
-        assert registry.select(KiB) is algo.ir
+        table = comm.register(algo2, min_bytes=0, max_bytes=MiB,
+                              label="later")
+        assert table.select(KiB).ir is algo.ir
+        assert isinstance(table.select(KiB), Plan)
 
 
 class TestEndToEndModel:

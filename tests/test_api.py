@@ -6,7 +6,7 @@ from repro.algorithms import ring_allgather, ring_allreduce
 from repro.core import CompilerOptions, compile_program
 from repro.core.errors import RuntimeConfigError
 from repro.runtime import Communicator
-from repro.topology import ndv4
+from repro.topology import generic, ndv4
 
 KiB = 1024
 MiB = 1024 * 1024
@@ -119,7 +119,7 @@ class TestHistory:
 
 class TestAutotuneIntegration:
     def test_registry_from_autotuner_plugs_in(self):
-        from repro.analysis import Candidate, build_registry, tune
+        from repro.analysis import Candidate, plan_table, tune
 
         def builder(channels, instances, protocol):
             return ring_allreduce(8, channels=channels,
@@ -130,10 +130,27 @@ class TestAutotuneIntegration:
             collective_sizing_chunks=8,
             space=[Candidate(1, 2, "LL"), Candidate(1, 24, "Simple")],
         )
-        registry = build_registry(outcome, "allreduce")
         comm = Communicator(ndv4(1))
-        comm.register_registry(registry, sizing_chunks=8)
+        comm.register_table("allreduce", plan_table(outcome))
         comm.all_reduce(32 * KiB)
         comm.all_reduce(8 * MiB)
         labels = [record.algorithm for record in comm.history]
         assert labels[0] != labels[1]  # different winners per band
+
+    def test_mismatched_table_rejected_at_adoption(self):
+        from repro.analysis import Candidate, plan_table, tune
+
+        def builder(channels, instances, protocol):
+            return ring_allreduce(4, channels=channels,
+                                  instances=instances, protocol=protocol)
+
+        outcome = tune(builder, generic(4, 1), [32 * KiB],
+                       collective_sizing_chunks=4,
+                       space=[Candidate(1, 2, "LL")])
+        table = plan_table(outcome)
+        comm = Communicator(ndv4(1))
+        with pytest.raises(RuntimeConfigError, match="4 ranks"):
+            comm.register_table("allreduce", table)
+        # Nothing was adopted: the call still falls back to NCCL.
+        comm.all_reduce(32 * KiB)
+        assert comm.history[-1].algorithm == "nccl-fallback"

@@ -19,8 +19,10 @@ from repro.observe import (
     write_chrome_trace,
 )
 from repro.runtime import (
-    AlgorithmRegistry,
+    Communicator,
     IrSimulator,
+    Plan,
+    PlanTable,
     SimConfig,
     critical_path,
     profile_threadblocks,
@@ -146,30 +148,36 @@ class TestRegisterApi:
     def test_registry_sizing_set_at_construction(self):
         program = build_ring_allreduce(4)
         algo = compile_program(program, CompilerOptions())
-        registry = AlgorithmRegistry("allreduce")
-        registry.register(algo, label="x")
-        entry = registry.algorithms[0]
-        assert entry.sizing_chunks == algo.sizing_chunks()
+        table = Communicator(generic(4, 1)).register(algo, label="x")
+        (_lo, _hi, plan), = table.rows
+        assert plan.sizing_chunks == algo.sizing_chunks()
 
     def test_size_args_are_keyword_only(self):
         program = build_ring_allreduce(4)
         algo = compile_program(program, CompilerOptions())
-        registry = AlgorithmRegistry("allreduce")
+        comm = Communicator(generic(4, 1))
         with pytest.raises(TypeError):
-            registry.register(algo, 0, MiB)
+            comm.register(algo, 0, MiB)
+        table = comm.register(algo)
+        plan = table.select(0)
+        with pytest.raises(TypeError):
+            table.appended(plan, 0, MiB)
 
     def test_bare_ir_needs_explicit_sizing(self):
         program = build_ring_allreduce(4)
         algo = compile_program(program, CompilerOptions())
-        registry = AlgorithmRegistry("allreduce")
-        registry.register(algo.ir, sizing_chunks=7)
-        assert registry.algorithms[0].sizing_chunks == 7
+        with pytest.raises(TypeError):
+            Plan(algo.ir, "x")
+        table = PlanTable().appended(Plan(algo.ir, "x", sizing_chunks=7))
+        assert table.select(MiB).sizing_chunks == 7
 
     def test_wrong_collective_still_rejected(self):
         program = build_ring_allreduce(4)
         algo = compile_program(program, CompilerOptions())
+        table = PlanTable().appended(
+            Plan(algo.ir, "x", algo.sizing_chunks()))
         with pytest.raises(RuntimeConfigError):
-            AlgorithmRegistry("alltoall").register(algo)
+            Communicator(generic(4, 1)).register_table("alltoall", table)
 
 
 class TestSimulatorTracing:

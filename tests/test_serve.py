@@ -173,6 +173,47 @@ class TestBackgroundPromotion:
         plan = asyncio.run(body())
         assert plan["protocol"] == "Simple"
 
+    def test_tuned_family_agrees_with_plan_table(self, monkeypatch):
+        """The service's promoted table and plan_table() pick the same
+        winner for one TuningResult, at every tuned size and at every
+        row boundary +-1."""
+        from repro.analysis import plan_table
+        from repro.serve import service as service_module
+
+        results = []
+        real_tune = service_module.tune_async
+
+        async def capture(*args, **kwargs):
+            results.append(await real_tune(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(service_module, "tune_async", capture)
+        sizes = (4 << 10, 64 << 10, 1 << 20, 16 << 20)
+        service = make_service(autotune=True, tune_sizes=sizes)
+        request = small_request()
+
+        async def body(probes):
+            await service.plan(request)
+            await service.drain_background()
+            (result,) = results
+            table = plan_table(result)
+            probes.update(s + d for s in sizes for d in (-1, 0, 1))
+            probes.update(edge + d for lo, hi, _ in table.rows
+                          for edge in (lo, hi) if edge != float("inf")
+                          for d in (-1, 0, 1) if edge + d >= 0)
+            labels = {}
+            for size in sorted(probes):
+                plan = await service.plan(small_request(
+                    size_bytes=size, include_xml=False))
+                labels[size] = (plan["label"], table.select(size).label)
+            await service.stop()
+            return table, labels
+
+        table, labels = asyncio.run(body(set()))
+        assert len(table.rows) > 1  # the probe crosses a boundary
+        for size, (served, tabled) in labels.items():
+            assert served == tabled, size
+
 
 class TestShieldedCancellation:
     def test_cancelled_waiter_does_not_kill_the_shared_compile(self):
@@ -409,6 +450,24 @@ class TestWireProtocol:
 
         response = self.run_with_server(body)
         assert response == {"ok": True, "stopping": True}
+
+
+class TestTracerBound:
+    def test_warm_requests_add_no_spans(self):
+        service = make_service()
+        request = small_request(include_xml=False)
+
+        async def body():
+            await service.plan(request)
+            before = len(list(service.tracer.walk()))
+            for _ in range(1000):
+                await service.plan(request)
+            await service.stop()
+            return before, len(list(service.tracer.walk()))
+
+        before, after = asyncio.run(body())
+        assert before == after == 1
+        assert serve_stats()["plan_hits"] == 1000
 
 
 class TestMetricsIntegration:
