@@ -137,7 +137,7 @@ def fuse(idag: InstructionDAG) -> InstructionDAG:
                 continue
             if cand.src != receiver.dst:
                 continue
-            if cand.fraction != receiver.fraction:
+            if cand.instance != receiver.instance:
                 continue
             # Fusing ties the receiver's incoming communication edge to
             # the send's outgoing one in the scheduler's channel

@@ -15,10 +15,11 @@ local instructions (paper section 4.2):
 ``nop``         no data movement; carries cross-thread-block ordering
 ==============  =======================================================
 
-Each instruction may be one *instance* of a parallelized operation, in
-which case it carries the fraction of every chunk's elements it owns
-(``frac_lo``/``frac_hi`` as exact rationals). Instances of the same
-operation partition [0, 1).
+Each instruction may be one *instance* of a parallelized operation:
+``instance=(k, S)`` says it owns the elements ``[k/S, (k+1)/S)`` of every
+chunk it touches, so the instances of one operation partition [0, 1).
+Lowering tracks those ranges as integers; :attr:`Instruction.fraction`
+derives the exact rationals the IR carries.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class Op(enum.Enum):
     # cross-thread-block dependency (hand-written MSCCL XML uses these
     # as barriers). Not a member of any op set below.
     NOP = "nop"
+
+    # Members are singletons compared by identity, so identity hashing
+    # is consistent with equality and avoids Enum's Python-level hash.
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -87,8 +92,6 @@ class Instruction:
     recv_peer: Optional[int] = None
     channel_directive: Optional[int] = None
     channel: Optional[int] = None
-    frac_lo: Fraction = Fraction(0)
-    frac_hi: Fraction = Fraction(1)
     instance: Tuple[int, int] = (0, 1)  # (instance index, total instances)
     chunk_op_id: int = -1
     trace_key: Tuple[int, int] = (0, 0)  # (chunk op order, instance index)
@@ -113,7 +116,9 @@ class Instruction:
 
     @property
     def fraction(self) -> Tuple[Fraction, Fraction]:
-        return (self.frac_lo, self.frac_hi)
+        """The element range ``[k/S, (k+1)/S)`` this instance owns."""
+        k, total = self.instance
+        return (Fraction(k, total), Fraction(k + 1, total))
 
     def read_spans(self) -> List[LocalSpan]:
         """Local spans this instruction reads."""
@@ -149,8 +154,8 @@ class Instruction:
             parts.append(f"->r{self.send_peer}")
         if self.recv_peer is not None:
             parts.append(f"<-r{self.recv_peer}")
-        if (self.frac_lo, self.frac_hi) != (Fraction(0), Fraction(1)):
-            parts.append(f"frac=[{self.frac_lo},{self.frac_hi})")
+        if self.instance != (0, 1):
+            parts.append("frac=[{},{})".format(*self.fraction))
         return "Instr(" + " ".join(parts) + ")"
 
 
@@ -181,14 +186,3 @@ class InstructionDAG:
     def __len__(self) -> int:
         return len(self.live())
 
-
-def fractions_overlap(lo1: Fraction, hi1: Fraction,
-                      lo2: Fraction, hi2: Fraction) -> bool:
-    """True when two half-open element fractions intersect."""
-    return lo1 < hi2 and lo2 < hi1
-
-
-def fraction_covers(outer_lo: Fraction, outer_hi: Fraction,
-                    inner_lo: Fraction, inner_hi: Fraction) -> bool:
-    """True when [outer) fully contains [inner)."""
-    return outer_lo <= inner_lo and inner_hi <= outer_hi

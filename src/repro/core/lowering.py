@@ -3,123 +3,100 @@
 Each chunk operation becomes one local instruction or a send/recv pair
 (paper section 4.2). Parallelized operations (``parallelize`` regions
 and whole-program ``instances``) are replicated here: instance *k* of
-*S* owns the element fraction ``[k/S, (k+1)/S)`` of every chunk it
-touches, so instances partition the data exactly.
+*S* owns the elements ``[k/S, (k+1)/S)`` of every chunk it touches, so
+instances partition the data exactly.
 
-Dependencies are recomputed at instruction granularity with per-location
-*fractional* interval tracking, which yields exact true/false edges even
-when differently-parallelized phases interact (e.g. a 2-way parallelized
-intra-node phase feeding an unparallelized inter-node phase).
+Dependencies are recomputed at instruction granularity by tracking,
+per location, which elements each writer and reader still holds. The
+arithmetic is on integers: a program fixes one common denominator
+``D``, the lcm of every chunk op's instance count, and instance *k* of
+*S* owns the units ``[k*D/S, (k+1)*D/S)`` of the ``D`` equal units of
+a chunk. The tracker keeps each access's not yet overwritten units as
+a bitmask, so overlap is ``a & b`` and overwriting is ``a & ~b``. That
+yields exact true/false edges even when differently-parallelized
+phases interact (e.g. a 2-way parallelized intra-node phase feeding an
+unparallelized inter-node phase). Instructions carry only their
+``instance``; the scheduler turns it into the IR's fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Dict, List, Tuple
 
+from .buffers import Buffer
 from .dag import ChunkDAG, ChunkOp
 from .errors import ProgramError
-from .instructions import Instruction, InstructionDAG, Op
-
-Interval = Tuple[Fraction, Fraction]
-Location = Tuple[int, object, int]  # (rank, buffer, index)
+from .instructions import Instruction, InstructionDAG, LocalSpan, Op
 
 
-def _subtract(intervals: List[Interval], lo: Fraction,
-              hi: Fraction) -> List[Interval]:
-    """Remove [lo, hi) from a sorted, disjoint interval list."""
-    result: List[Interval] = []
-    for (ilo, ihi) in intervals:
-        if ihi <= lo or hi <= ilo:
-            result.append((ilo, ihi))
-            continue
-        if ilo < lo:
-            result.append((ilo, lo))
-        if hi < ihi:
-            result.append((hi, ihi))
-    return result
-
-
-def _overlaps(intervals: List[Interval], lo: Fraction,
-              hi: Fraction) -> bool:
-    """True when [lo, hi) intersects any interval in the list."""
-    return any(ilo < hi and lo < ihi for (ilo, ihi) in intervals)
-
-
-class _AccessEntry:
-    """A reader's or writer's remaining (not yet overwritten) intervals."""
-
-    __slots__ = ("instr_id", "intervals")
-
-    def __init__(self, instr_id: int, lo: Fraction, hi: Fraction):
-        self.instr_id = instr_id
-        self.intervals: List[Interval] = [(lo, hi)]
+def _units(lo: int, hi: int) -> int:
+    """The bitmask of units [lo, hi)."""
+    return ((1 << (hi - lo)) - 1) << lo
 
 
 class _LocationTracker:
-    """Fractional last-writer / readers-since-write bookkeeping."""
+    """Last-writer / readers-since-write bookkeeping.
+
+    Every (rank, buffer) owns a flat list of cells indexed by chunk
+    index. A cell is ``[writers, readers]``, each a dict from
+    instruction id to the units it still holds at that location, in
+    access order.
+    """
 
     def __init__(self) -> None:
-        self._writers: Dict[Location, List[_AccessEntry]] = {}
-        self._readers: Dict[Location, List[_AccessEntry]] = {}
+        self._cells: Dict[Tuple[int, Buffer], List[list]] = {}
         # instr_id -> number of write cells not yet fully overwritten.
         self.pending_cells: Dict[int, int] = {}
 
-    def record_read(self, instr: Instruction, loc: Location,
-                    lo: Fraction, hi: Fraction) -> None:
-        for entry in self._writers.get(loc, ()):
-            if entry.instr_id != instr.instr_id and _overlaps(
-                    entry.intervals, lo, hi):
-                instr.deps.add(entry.instr_id)
-                instr.true_deps.add(entry.instr_id)
-        self._readers.setdefault(loc, []).append(
-            _AccessEntry(instr.instr_id, lo, hi)
-        )
+    def _span_cells(self, rank: int, span: LocalSpan) -> List[list]:
+        buffer, index, count = span
+        cells = self._cells.get((rank, buffer))
+        if cells is None:
+            cells = self._cells[(rank, buffer)] = []
+        end = index + count
+        if len(cells) < end:
+            cells.extend([{}, {}] for _ in range(end - len(cells)))
+        return cells[index:end]
 
-    def record_write(self, instr: Instruction, loc: Location,
-                     lo: Fraction, hi: Fraction) -> None:
-        writers = self._writers.setdefault(loc, [])
-        surviving_writers: List[_AccessEntry] = []
-        for entry in writers:
-            if entry.instr_id != instr.instr_id and _overlaps(
-                    entry.intervals, lo, hi):
-                instr.deps.add(entry.instr_id)  # WAW
-            entry.intervals = _subtract(entry.intervals, lo, hi)
-            if entry.intervals:
-                surviving_writers.append(entry)
-            else:
-                self.pending_cells[entry.instr_id] -= 1
-        readers = self._readers.get(loc, [])
-        surviving_readers: List[_AccessEntry] = []
-        for entry in readers:
-            if entry.instr_id != instr.instr_id and _overlaps(
-                    entry.intervals, lo, hi):
-                instr.deps.add(entry.instr_id)  # WAR
-            entry.intervals = _subtract(entry.intervals, lo, hi)
-            if entry.intervals:
-                surviving_readers.append(entry)
-        surviving_writers.append(_AccessEntry(instr.instr_id, lo, hi))
-        self._writers[loc] = surviving_writers
-        self._readers[loc] = surviving_readers
-        self.pending_cells[instr.instr_id] = (
-            self.pending_cells.get(instr.instr_id, 0) + 1
-        )
-
-
-def _span_locations(rank: int, span) -> List[Location]:
-    buffer, index, count = span
-    return [(rank, buffer, index + k) for k in range(count)]
-
-
-def _record_instruction(tracker: _LocationTracker,
-                        instr: Instruction) -> None:
-    """Register an instruction's reads then writes with the tracker."""
-    for span in instr.read_spans():
-        for loc in _span_locations(instr.rank, span):
-            tracker.record_read(instr, loc, instr.frac_lo, instr.frac_hi)
-    for span in instr.write_spans():
-        for loc in _span_locations(instr.rank, span):
-            tracker.record_write(instr, loc, instr.frac_lo, instr.frac_hi)
+    def record(self, instr: Instruction, units: int) -> None:
+        """Register an instruction's reads, then its writes, of the
+        given units of every chunk it touches."""
+        instr_id = instr.instr_id
+        deps = instr.deps
+        for span in instr.read_spans():
+            for cell in self._span_cells(instr.rank, span):
+                for writer, held in cell[0].items():
+                    if held & units and writer != instr_id:
+                        deps.add(writer)
+                        instr.true_deps.add(writer)
+                cell[1][instr_id] = units
+        for span in instr.write_spans():
+            for cell in self._span_cells(instr.rank, span):
+                writers = {}
+                for writer, held in cell[0].items():
+                    if held & units:
+                        deps.add(writer)  # WAW
+                        held &= ~units
+                        if not held:
+                            self.pending_cells[writer] -= 1
+                            continue
+                    writers[writer] = held
+                writers[instr_id] = units
+                readers = {}
+                for reader, held in cell[1].items():
+                    if held & units:
+                        if reader != instr_id:
+                            deps.add(reader)  # WAR
+                        held &= ~units
+                        if not held:
+                            continue
+                    readers[reader] = held
+                cell[0] = writers
+                cell[1] = readers
+                self.pending_cells[instr_id] = (
+                    self.pending_cells.get(instr_id, 0) + 1
+                )
 
 
 def lower(dag: ChunkDAG, instances: int = 1) -> InstructionDAG:
@@ -130,16 +107,13 @@ def lower(dag: ChunkDAG, instances: int = 1) -> InstructionDAG:
     """
     idag = InstructionDAG()
     tracker = _LocationTracker()
-
-    for op in dag.operations():
-        group_n = op.parallel.instances if op.parallel is not None else 1
-        total = instances * group_n
-        for prog_i in range(instances):
-            for group_i in range(group_n):
-                k = prog_i * group_n + group_i
-                lo = Fraction(k, total)
-                hi = Fraction(k + 1, total)
-                _expand_op(idag, tracker, op, k, total, lo, hi)
+    ops = dag.operations()
+    totals = [instances * (op.parallel.instances
+                           if op.parallel is not None else 1)
+              for op in ops]
+    denominator = math.lcm(1, *totals)
+    for op, total in zip(ops, totals):
+        _expand_op(idag, tracker, op, total, denominator // total)
 
     # Finalize the "dst fully overwritten later" flags used by the rrs
     # fusion rule.
@@ -151,9 +125,9 @@ def lower(dag: ChunkDAG, instances: int = 1) -> InstructionDAG:
 
 
 def _expand_op(idag: InstructionDAG, tracker: _LocationTracker,
-               op: ChunkOp, k: int, total: int,
-               lo: Fraction, hi: Fraction) -> None:
-    """Emit the instruction(s) for one instance of one chunk op."""
+               op: ChunkOp, total: int, width: int) -> None:
+    """Emit the instruction(s) of each of the ``total`` instances of one
+    chunk op; instance *k* owns units ``[k*width, (k+1)*width)``."""
     src_rank, src_buffer, src_index, count = op.src
     dst_rank, dst_buffer, dst_index, dst_count = op.dst
     if dst_count != count:
@@ -168,36 +142,37 @@ def _expand_op(idag: InstructionDAG, tracker: _LocationTracker,
         )
     src_span = (src_buffer, src_index, count)
     dst_span = (dst_buffer, dst_index, count)
-    common = dict(
-        channel_directive=op.channel,
-        frac_lo=lo,
-        frac_hi=hi,
-        instance=(k, total),
-        chunk_op_id=op.op_id,
-        trace_key=(op.trace_index, k),
-        lineage=op.lineage,
-    )
-
-    if op.is_local:
-        local_op = Op.COPY if op.kind == "copy" else Op.REDUCE
-        instr = idag.new(rank=src_rank, op=local_op, src=src_span,
-                         dst=dst_span, **common)
-        _record_instruction(tracker, instr)
-        return
-
-    # A remote reduce's send moves only the source span's data; the
-    # accumulator's own origins never leave the destination rank.
-    send_common = dict(common, lineage=op.src_lineage)
-    send = idag.new(rank=src_rank, op=Op.SEND, src=src_span,
-                    send_peer=dst_rank, **send_common)
-    _record_instruction(tracker, send)
-    if op.kind == "copy":
-        recv = idag.new(rank=dst_rank, op=Op.RECV, dst=dst_span,
-                        recv_peer=src_rank, **common)
-    else:  # remote reduce: receive and accumulate into the destination
-        recv = idag.new(rank=dst_rank, op=Op.RECV_REDUCE_COPY,
-                        src=dst_span, dst=dst_span,
-                        recv_peer=src_rank, **common)
-    _record_instruction(tracker, recv)
-    send.send_match = recv.instr_id
-    recv.recv_match = send.instr_id
+    copy = op.kind == "copy"
+    for k in range(total):
+        units = _units(k * width, (k + 1) * width)
+        common = dict(
+            channel_directive=op.channel,
+            instance=(k, total),
+            chunk_op_id=op.op_id,
+            trace_key=(op.trace_index, k),
+        )
+        if op.is_local:
+            instr = idag.new(rank=src_rank,
+                             op=Op.COPY if copy else Op.REDUCE,
+                             src=src_span, dst=dst_span,
+                             lineage=op.lineage, **common)
+            tracker.record(instr, units)
+            continue
+        # A remote reduce's send moves only the source span's data; the
+        # accumulator's own origins never leave the destination rank.
+        send = idag.new(rank=src_rank, op=Op.SEND, src=src_span,
+                        send_peer=dst_rank, lineage=op.src_lineage,
+                        **common)
+        tracker.record(send, units)
+        if copy:
+            recv = idag.new(rank=dst_rank, op=Op.RECV, dst=dst_span,
+                            recv_peer=src_rank, lineage=op.lineage,
+                            **common)
+        else:  # remote reduce: receive and accumulate into the dst
+            recv = idag.new(rank=dst_rank, op=Op.RECV_REDUCE_COPY,
+                            src=dst_span, dst=dst_span,
+                            recv_peer=src_rank, lineage=op.lineage,
+                            **common)
+        tracker.record(recv, units)
+        send.send_match = recv.instr_id
+        recv.recv_match = send.instr_id

@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core import AllReduce, MSCCLProgram, Op, chunk, lower, parallelize
-from repro.core.instructions import (
-    fraction_covers,
-    fractions_overlap,
-)
-from repro.core.lowering import _overlaps, _subtract
+from repro.core.lowering import _units
 
 
 def trace(body, num_ranks=3, chunk_factor=2, instances=1):
@@ -78,7 +74,8 @@ class TestInstances:
         idag = lower(program.dag, instances=3)
         sends = [i for i in idag.live() if i.op is Op.SEND]
         assert len(sends) == 3
-        fracs = sorted((s.frac_lo, s.frac_hi) for s in sends)
+        assert sorted(s.instance for s in sends) == [(0, 3), (1, 3), (2, 3)]
+        fracs = sorted(s.fraction for s in sends)
         assert fracs == [
             (Fraction(0), Fraction(1, 3)),
             (Fraction(1, 3), Fraction(2, 3)),
@@ -103,11 +100,11 @@ class TestInstances:
         idag = lower(program.dag, instances=4)
         sends = sorted(
             (i for i in idag.live() if i.op is Op.SEND),
-            key=lambda s: s.frac_lo,
+            key=lambda s: s.fraction,
         )
-        assert sends[0].frac_lo == 0 and sends[-1].frac_hi == 1
+        assert sends[0].fraction[0] == 0 and sends[-1].fraction[1] == 1
         for a, b in zip(sends, sends[1:]):
-            assert a.frac_hi == b.frac_lo
+            assert a.fraction[1] == b.fraction[0]
 
     def test_cross_parallelism_dependencies_by_overlap(self):
         """A 2-way parallel producer feeding an unparallelized consumer:
@@ -145,8 +142,30 @@ class TestInstances:
                 if live_i.instr_id in send.true_deps
             ]
             assert all(
-                r.fraction == send.fraction for r in producing_recvs
+                r.instance == send.instance for r in producing_recvs
             )
+
+    def test_mixed_denominators_depend_by_overlap(self):
+        """Thirds from whole-program instances against sixths from a
+        2-way parallelize: every consumer third depends on exactly the
+        two producer sixths inside it."""
+
+        def body():
+            with parallelize(2):
+                chunk(0, "in", 0).copy(1, "sc", 0)
+            chunk(1, "sc", 0).copy(2, "sc", 0)
+
+        program = trace(body, instances=3)
+        idag = lower(program.dag, instances=3)
+        live = idag.live()
+        producers = {i.instr_id: i for i in live
+                     if i.op is Op.RECV and i.rank == 1}
+        assert sorted(p.instance[1] for p in producers.values()) == [6] * 6
+        for send in (i for i in live if i.op is Op.SEND and i.rank == 1):
+            deps = [producers[d] for d in send.true_deps if d in producers]
+            lo, hi = send.fraction
+            assert sorted(d.fraction for d in deps) == [
+                (lo, lo + (hi - lo) / 2), (lo + (hi - lo) / 2, hi)]
 
 
 class TestOverwrittenTracking:
@@ -182,32 +201,16 @@ class TestOverwrittenTracking:
 
 
 class TestIntervalHelpers:
+    # A chunk split into 4 units; an access holds a bitmask of units.
     def test_subtract_middle(self):
-        got = _subtract([(Fraction(0), Fraction(1))],
-                        Fraction(1, 4), Fraction(1, 2))
-        assert got == [(Fraction(0), Fraction(1, 4)),
-                       (Fraction(1, 2), Fraction(1))]
+        assert _units(0, 4) & ~_units(1, 2) == _units(0, 1) | _units(2, 4)
 
     def test_subtract_disjoint(self):
-        intervals = [(Fraction(0), Fraction(1, 4))]
-        assert _subtract(intervals, Fraction(1, 2), Fraction(1)) == intervals
+        assert _units(0, 1) & ~_units(2, 4) == _units(0, 1)
 
     def test_subtract_everything(self):
-        assert _subtract([(Fraction(0), Fraction(1))],
-                         Fraction(0), Fraction(1)) == []
+        assert _units(0, 4) & ~_units(0, 4) == 0
 
     def test_overlaps(self):
-        assert _overlaps([(Fraction(0), Fraction(1, 2))],
-                         Fraction(1, 4), Fraction(3, 4))
-        assert not _overlaps([(Fraction(0), Fraction(1, 2))],
-                             Fraction(1, 2), Fraction(1))
-
-    def test_fraction_utils(self):
-        assert fractions_overlap(Fraction(0), Fraction(1, 2),
-                                 Fraction(1, 4), Fraction(1))
-        assert not fractions_overlap(Fraction(0), Fraction(1, 2),
-                                     Fraction(1, 2), Fraction(1))
-        assert fraction_covers(Fraction(0), Fraction(1),
-                               Fraction(1, 4), Fraction(1, 2))
-        assert not fraction_covers(Fraction(1, 4), Fraction(1, 2),
-                                   Fraction(0), Fraction(1))
+        assert _units(0, 2) & _units(1, 3)
+        assert not _units(0, 2) & _units(2, 4)

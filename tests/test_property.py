@@ -8,8 +8,6 @@ fusion, scheduling, and the executor end to end far beyond the
 hand-written algorithms.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,24 +24,11 @@ from repro.core import (
 )
 from repro.core.buffers import BufferState
 from repro.core.chunk import InputChunk, ReductionChunk, reduce_chunks
-from repro.core.lowering import _overlaps, _subtract
+from repro.core.lowering import _units
 from repro.runtime import IrExecutor
 from tests.conftest import build_ring_allreduce
 
 # -- strategies -----------------------------------------------------------
-
-fractions = st.builds(
-    lambda n, d: Fraction(n % d, d),
-    st.integers(0, 100), st.integers(1, 100),
-)
-
-
-@st.composite
-def interval_lists(draw):
-    points = sorted(draw(st.lists(fractions, min_size=2, max_size=8,
-                                  unique=True)))
-    return [(a, b) for a, b in zip(points[::2], points[1::2]) if a < b]
-
 
 @st.composite
 def random_programs(draw):
@@ -162,20 +147,17 @@ def test_ring_allreduce_verifies_at_any_size(num_ranks, factor, instances):
 
 
 @settings(max_examples=100)
-@given(interval_lists(), fractions, fractions)
-def test_subtract_removes_exactly_the_range(intervals, a, b):
+@given(st.integers(0, (1 << 60) - 1), st.integers(0, 60),
+       st.integers(0, 60))
+def test_subtract_removes_exactly_the_range(held, a, b):
+    """Overwriting units [lo, hi) of a lowering bitmask removes exactly
+    those units and keeps every other one."""
     lo, hi = min(a, b), max(a, b)
-    result = _subtract(intervals, lo, hi)
-    # Nothing of [lo, hi) remains.
-    assert not _overlaps(result, lo, hi) or lo == hi
-    # Everything outside [lo, hi) is preserved, measured by total length.
-    def measure(ivs):
-        return sum(h - l for l, h in ivs)
-
-    removed = sum(
-        max(0, min(h, hi) - max(l, lo)) for l, h in intervals
-    )
-    assert measure(result) == measure(intervals) - removed
+    written = _units(lo, hi)
+    result = held & ~written
+    assert not result & written
+    assert result | (held & written) == held
+    assert bin(written).count("1") == hi - lo
 
 
 @settings(max_examples=100)
@@ -196,10 +178,17 @@ def test_reduction_identity_is_permutation_invariant(pairs):
 @settings(max_examples=50)
 @given(st.integers(1, 12), st.integers(1, 12))
 def test_instance_fractions_partition_unit_interval(r, g):
+    """The r x g instances of one op partition a chunk's D units for a
+    common denominator D that their count divides."""
     total = r * g
-    cuts = [Fraction(k, total) for k in range(total + 1)]
-    assert cuts[0] == 0 and cuts[-1] == 1
-    assert all(a < b for a, b in zip(cuts, cuts[1:]))
+    denominator = total * 6
+    width = denominator // total
+    masks = [_units(k * width, (k + 1) * width) for k in range(total)]
+    covered = 0
+    for mask in masks:
+        assert not covered & mask
+        covered |= mask
+    assert covered == (1 << denominator) - 1
 
 
 @settings(max_examples=60)
