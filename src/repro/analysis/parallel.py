@@ -29,10 +29,16 @@ Workers inherit ``REPRO_CACHE_DIR``, so anything they compile lands in
 the persistent :class:`~repro.core.cache.DiskCacheTier` and is shared
 with the parent and with sibling workers instead of being recompiled
 per process.
+
+Workers start from a ``forkserver`` (``spawn`` where the platform has
+none), never by forking the caller: the plan service calls in from a
+process with live threads, and a forked worker inherits any lock one
+of them holds at that instant, locked forever.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import time
@@ -100,8 +106,8 @@ def _bump(name: str, delta: float) -> None:
 def _run_task(payload):
     """Worker-side wrapper: run one task and report who ran it when.
 
-    ``time.perf_counter`` is CLOCK_MONOTONIC on Linux, shared across
-    the fork, so the parent can place these timestamps on its own
+    ``time.perf_counter`` is CLOCK_MONOTONIC on Linux, shared by every
+    process, so the parent can place these timestamps on its own
     timeline.
     """
     index, fn, task = payload
@@ -109,6 +115,16 @@ def _run_task(payload):
     result = fn(task)
     end = time.perf_counter()
     return index, result, os.getpid(), start * 1e6, end * 1e6
+
+
+def _pool_context():
+    """A forkserver context that has already imported this package (so
+    a worker starts without re-importing the simulator), else spawn."""
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__package__])
+    return context
 
 
 def _pickles(obj) -> bool:
@@ -152,7 +168,8 @@ def parallel_map(fn: Callable, tasks: Sequence, *,
         if remote:
             payloads = [(i, fn, tasks[i]) for i in remote]
             chunksize = max(1, len(remote) // (jobs * 4))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=jobs,
+                                     mp_context=_pool_context()) as pool:
                 for index, result, pid, s_us, e_us in pool.map(
                         _run_task, payloads, chunksize=chunksize):
                     results[index] = result

@@ -215,6 +215,29 @@ class TestBackgroundPromotion:
             assert served == tabled, size
 
 
+    def test_parallel_tunes_promote_every_family(self):
+        """Background tunes with worker processes, started while the
+        event loop and executor threads are live, finish and promote."""
+        service = make_service(
+            autotune=True, tune_jobs=2, tune_sizes=(64 << 10, 1 << 20),
+            tune_space=(Candidate(1, 1, "LL"), Candidate(1, 2, "Simple")),
+        )
+        requests = [small_request(collective=c)
+                    for c in ("allreduce", "allgather", "reducescatter")]
+
+        async def body():
+            await asyncio.gather(*(service.plan(r) for r in requests))
+            await asyncio.wait_for(service.drain_background(), timeout=120)
+            stats = service.stats()
+            await service.stop()
+            return stats
+
+        stats = asyncio.run(body())
+        assert stats["families"] == 3
+        assert stats["tuned_families"] == 3
+        assert stats["serve"]["tune_errors"] == 0
+
+
 class TestShieldedCancellation:
     def test_cancelled_waiter_does_not_kill_the_shared_compile(self):
         calls = []
