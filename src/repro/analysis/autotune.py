@@ -22,11 +22,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cache import default_compile_cache
 from ..core.compiler import CompilerOptions, compile_program
-from ..core.errors import MscclError
+from ..core.errors import MscclError, RuntimeConfigError
 from ..core.ir import MscclIr
 from ..core.program import MSCCLProgram
-from ..runtime.plans import Plan, PlanTable, chunk_bytes_for
-from ..runtime.simulator import IrSimulator, SimConfig
+from ..runtime.plans import Plan, PlanTable
+from ..runtime.simulator import SimConfig
 from ..topology.model import Topology
 from .parallel import parallel_map, resolve_jobs
 from .sweep import IrTimer, _eval_point
@@ -100,6 +100,28 @@ def default_space(max_channels: int = 8,
     ]
 
 
+def _build(builder: Builder, candidate: Candidate) -> MSCCLProgram:
+    return builder(channels=candidate.channels,
+                   instances=candidate.instances,
+                   protocol=candidate.protocol)
+
+
+def _check_ranks(builder: Builder, space: List[Candidate],
+                 topology: Topology) -> None:
+    """Fail before anything compiles when the builder's programs span
+    a different number of ranks than the topology."""
+    for candidate in space:
+        try:
+            program = _build(builder, candidate)
+        except MscclError:
+            continue  # the compile phase records it as skipped
+        if program.num_ranks != topology.num_ranks:
+            raise RuntimeConfigError(
+                f"the builder makes {program.num_ranks}-rank programs "
+                f"but the topology has {topology.num_ranks} ranks")
+        return
+
+
 def _compile_candidate(task):
     """Compile one tuning candidate; module-level for the worker pool.
 
@@ -116,12 +138,7 @@ def _compile_candidate(task):
     options = CompilerOptions(max_threadblocks=max_threadblocks,
                               cache=default_compile_cache())
     try:
-        program = builder(
-            channels=candidate.channels,
-            instances=candidate.instances,
-            protocol=candidate.protocol,
-        )
-        algo = compile_program(program, options)
+        algo = compile_program(_build(builder, candidate), options)
     except MscclError as error:
         return "skip", str(error)
     return "ok", algo.ir.to_json()
@@ -142,10 +159,16 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
     candidate-space order; simulations sizes outer, candidates inner,
     first strictly-faster candidate winning — so the parallel
     :class:`TuningResult` is bitwise-identical to the sequential one.
+    Every ``jobs`` times its points with the same :class:`IrTimer`.
+
+    A builder whose programs span a different number of ranks than
+    ``topology`` raises :class:`RuntimeConfigError` before anything
+    compiles.
     """
     space = space if space is not None else default_space()
     config = sim_config or SimConfig()
     jobs = resolve_jobs(jobs)
+    _check_ranks(builder, space, topology)
     result = TuningResult(candidates=[], sizes=list(sizes), times={},
                           sizing_chunks=collective_sizing_chunks)
     if jobs == 1:
@@ -158,13 +181,8 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
         )
         for candidate in space:
             try:
-                program = builder(
-                    channels=candidate.channels,
-                    instances=candidate.instances,
-                    protocol=candidate.protocol,
-                )
                 result.compiled[candidate] = compile_program(
-                    program, options).ir
+                    _build(builder, candidate), options).ir
                 result.candidates.append(candidate)
             except MscclError as error:
                 result.skipped.append((candidate, str(error)))
@@ -186,31 +204,20 @@ def tune(builder: Builder, topology: Topology, sizes: Sequence[int],
             "the SM budget everywhere"
         )
 
-    if jobs == 1:
-        times = {}
-        for size in result.sizes:
-            for candidate, ir in result.compiled.items():
-                simulator = IrSimulator(ir, topology, config=config)
-                times[(candidate, size)] = simulator.run(
-                    chunk_bytes=chunk_bytes_for(
-                        size, collective_sizing_chunks)
-                ).time_us
-    else:
-        timers = {
-            candidate: IrTimer(ir, topology, collective_sizing_chunks,
-                               config)
-            for candidate, ir in result.compiled.items()
-        }
-        tasks = [
-            (timers[candidate], size)
-            for size in result.sizes for candidate in result.candidates
-        ]
-        flat = iter(parallel_map(_eval_point, tasks, jobs=jobs,
-                                 tracer=tracer, label="tune"))
-        times = {
-            (candidate, size): next(flat)
-            for size in result.sizes for candidate in result.candidates
-        }
+    timers = {
+        candidate: IrTimer(ir, topology, collective_sizing_chunks, config)
+        for candidate, ir in result.compiled.items()
+    }
+    tasks = [
+        (timers[candidate], size)
+        for size in result.sizes for candidate in result.candidates
+    ]
+    flat = iter(parallel_map(_eval_point, tasks, jobs=jobs,
+                             tracer=tracer, label="tune"))
+    times = {
+        (candidate, size): next(flat)
+        for size in result.sizes for candidate in result.candidates
+    }
 
     for size in result.sizes:
         best_candidate = None

@@ -83,6 +83,36 @@ class TestTune:
         timer = IrTimer(outcome.compiled[candidate], ndv4(1), 8)
         assert outcome.times[(candidate, size)] == timer(size)
 
+    def test_times_match_a_fresh_simulation(self, result):
+        """Sequential tunes time every point as one IrSimulator run at
+        the shared chunk sizing, exactly."""
+        from repro.runtime import chunk_bytes_for
+        from repro.runtime.simulator import IrSimulator
+
+        for (candidate, size), elapsed in result.times.items():
+            simulator = IrSimulator(result.compiled[candidate], ndv4(1))
+            assert elapsed == simulator.run(
+                chunk_bytes=chunk_bytes_for(size, 8)).time_us
+
+    def test_rank_mismatch_fails_before_any_compile(self, monkeypatch):
+        from repro.analysis import autotune
+        from repro.core.errors import RuntimeConfigError
+
+        compiles = []
+        monkeypatch.setattr(autotune, "compile_program",
+                            lambda *a, **k: compiles.append(a))
+
+        def four_ranks(channels, instances, protocol):
+            return ring_allreduce(4, channels=channels,
+                                  instances=instances, protocol=protocol)
+
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeConfigError, match="4-rank"):
+                tune(four_ranks, ndv4(1), [KiB],
+                     collective_sizing_chunks=4,
+                     space=[Candidate(1, 1, "LL")], jobs=jobs)
+        assert compiles == []
+
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             tune(ring_builder, ndv4(1), [KiB],
