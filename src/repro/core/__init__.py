@@ -60,7 +60,7 @@ from .interop import (collective_from_name, import_xml, import_xml_file,
                       infer_collective, resolve_collective, trace_ir)
 from .ir import GpuProgram, IrInstruction, MscclIr, ThreadBlock
 from .lowering import lower
-from .passes import ir_stats, optimize_ir, prune_redundant_deps, renumber_channels
+from .passes import ir_stats, prune_redundant_deps, renumber_channels
 from .pipeline import (
     CompileState,
     DefaultSchedulerPolicy,
@@ -151,7 +151,6 @@ __all__ = [
     "lower",
     "program_digest",
     "ir_stats",
-    "optimize_ir",
     "prune_redundant_deps",
     "renumber_channels",
     "parallelize",

@@ -12,25 +12,16 @@ passes tighten it without changing semantics:
   range (after channel probing they may be sparse).
 * :func:`ir_stats` — before/after accounting for the passes.
 
-All passes mutate the IR in place and return it, so they chain.
+All passes mutate the IR in place and return it, so they chain. The
+default pipeline runs the first two, in that order, when compiled with
+``CompilerOptions(optimize=True)``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..observe.tracer import maybe_span
-from .instructions import Op
 from .ir import MscclIr
-
-RECEIVING = frozenset({
-    Op.RECV, Op.RECV_REDUCE_COPY, Op.RECV_COPY_SEND,
-    Op.RECV_REDUCE_COPY_SEND, Op.RECV_REDUCE_SEND,
-})
-SENDING = frozenset({
-    Op.SEND, Op.RECV_COPY_SEND, Op.RECV_REDUCE_COPY_SEND,
-    Op.RECV_REDUCE_SEND,
-})
 
 
 def _completion_order(ir: MscclIr):
@@ -164,31 +155,3 @@ def ir_stats(ir: MscclIr) -> Dict[str, int]:
         "has_dep_flags": flagged,
     }
 
-
-def optimize_ir(ir: MscclIr, tracer=None) -> MscclIr:
-    """The default pass pipeline.
-
-    With a :class:`repro.observe.Tracer`, each pass gets a span carrying
-    the :func:`ir_stats` counters before and after it ran.
-    """
-    with maybe_span(tracer, "optimize", cat="compiler") as outer:
-        before = ir_stats(ir)
-        with maybe_span(tracer, "prune_redundant_deps", cat="compiler",
-                        dep_entries_in=before["dep_entries"]) as span:
-            prune_redundant_deps(ir)
-            if span is not None:
-                span.args["dep_entries_out"] = \
-                    ir_stats(ir)["dep_entries"]
-        with maybe_span(tracer, "renumber_channels", cat="compiler",
-                        channels_in=before["channels"]) as span:
-            renumber_channels(ir)
-            if span is not None:
-                span.args["channels_out"] = ir_stats(ir)["channels"]
-        if outer is not None:
-            after = ir_stats(ir)
-            outer.args.update({
-                "instructions": after["instructions"],
-                "dep_entries_in": before["dep_entries"],
-                "dep_entries_out": after["dep_entries"],
-            })
-    return ir

@@ -10,7 +10,6 @@ from repro.core import (
     audit_ir,
     compile_program,
     ir_stats,
-    optimize_ir,
     prune_redundant_deps,
     renumber_channels,
 )
@@ -104,10 +103,15 @@ class TestRenumberChannels:
         assert channels == list(range(len(channels)))
 
     def test_optimize_pipeline_runs(self, hierarchical_ir):
+        """optimize=True runs prune_redundant_deps then
+        renumber_channels on the scheduled IR, and stays correct."""
         ir, program = hierarchical_ir
+        optimized = compile_program(program,
+                                    CompilerOptions(optimize=True)).ir
+        IrExecutor(optimized, program.collective).run_and_check()
         fresh = MscclIr.from_json(ir.to_json())
-        optimize_ir(fresh)
-        IrExecutor(fresh, program.collective).run_and_check()
+        renumber_channels(prune_redundant_deps(fresh))
+        assert optimized.to_xml() == fresh.to_xml()
 
 
 class TestXmlImport:
